@@ -324,6 +324,28 @@ TEST_F(GoldenTest, ReportMarkdown) {
   check_text("report.md", out_.str());
 }
 
+TEST_F(GoldenTest, AnalyzeTable) {
+  // The verdict table is what `serve` answers most; the CLI and serve
+  // share its renderer, so only a golden catches a byte change in it.
+  // Exit 1: the case study misses one deadline under the defaults.
+  ASSERT_EQ(run({"analyze", matrix_}), 1) << err_.str();
+  check_text("analyze.txt", out_.str());
+}
+
+TEST_F(GoldenTest, AnalyzeTableWorstCaseJitterWidensVerdictColumn) {
+  // Assumed jitter pushes several messages past their deadline, so
+  // negative slacks and MISS rows set the column widths.
+  ASSERT_EQ(run({"analyze", matrix_, "--worst-case", "--jitter", "0.3", "--override-known"}), 1)
+      << err_.str();
+  EXPECT_NE(out_.str().find("MISS"), std::string::npos);
+  check_text("analyze_worst_jitter.txt", out_.str());
+}
+
+TEST_F(GoldenTest, AnalyzeProbTable) {
+  ASSERT_EQ(run({"analyze", matrix_, "--prob", "--fault-ppm", "10000"}), 1) << err_.str();
+  check_text("analyze_prob.txt", out_.str());
+}
+
 TEST_F(GoldenTest, ExplainText) {
   // M16 is the lowest-priority case-study message: richest interference
   // breakdown. Text derives from integer-exact analysis only, so it is
