@@ -146,14 +146,10 @@ std::string iterates_to_text(const std::vector<Duration>& xs) {
   return out;
 }
 
-std::string iterates_to_json(const std::vector<Duration>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ",";
-    appendf(out, "%" PRId64, xs[i].count_ns());
-  }
-  out += "]";
-  return out;
+void iterates_to_json(obs::JsonWriter& w, const std::vector<Duration>& xs) {
+  w.begin_array();
+  for (const Duration x : xs) w.integer(x.count_ns());
+  w.end_array();
 }
 
 }  // namespace
@@ -205,52 +201,54 @@ std::string provenance_to_text(const Provenance& p) {
 
 std::string provenance_to_json(const Provenance& p) {
   const MessageResult& r = p.result;
-  std::string out = "{";
-  appendf(out, "\"message\":\"%s\",", obs::json_escape(p.name).c_str());
-  appendf(out, "\"id\":%u,", p.id);
-  appendf(out, "\"schedulable\":%s,", r.schedulable ? "true" : "false");
-  appendf(out, "\"diverged\":%s,", r.diverged ? "true" : "false");
-  appendf(out, "\"wcrt_ns\":%" PRId64 ",", r.wcrt.count_ns());
-  appendf(out, "\"bcrt_ns\":%" PRId64 ",", r.bcrt.count_ns());
-  appendf(out, "\"deadline_ns\":%" PRId64 ",", r.deadline.count_ns());
-  appendf(out, "\"busy_period_ns\":%" PRId64 ",", r.busy_period.count_ns());
-  appendf(out, "\"instances\":%" PRId64 ",", r.instances);
-  appendf(out, "\"fixedpoint_iterations\":%" PRId64 ",", r.fixedpoint_iterations);
-  out += "\"breakdown\":{";
-  appendf(out, "\"blocking_frame\":\"%s\",", obs::json_escape(p.blocking_frame).c_str());
-  appendf(out, "\"bus_blocking_ns\":%" PRId64 ",", p.bus_blocking.count_ns());
-  appendf(out, "\"intra_node_blocking_ns\":%" PRId64 ",", p.intra_node_blocking.count_ns());
-  appendf(out, "\"critical_instance\":%" PRId64 ",", p.critical_instance);
-  appendf(out, "\"critical_window_ns\":%" PRId64 ",", p.critical_window.count_ns());
-  appendf(out, "\"preceding_instances_ns\":%" PRId64 ",", p.preceding_instances.count_ns());
-  out += "\"interference\":[";
-  for (std::size_t i = 0; i < p.interference.size(); ++i) {
-    const InterferenceShare& s = p.interference[i];
-    if (i) out += ",";
-    out += "{";
-    appendf(out, "\"name\":\"%s\",", obs::json_escape(s.name).c_str());
-    appendf(out, "\"offset_group\":%s,", s.offset_group ? "true" : "false");
+  std::string out;
+  obs::JsonWriter w{out};
+  w.begin_object();
+  w.key("message").string(p.name);
+  w.key("id").integer(p.id);
+  w.key("schedulable").boolean(r.schedulable);
+  w.key("diverged").boolean(r.diverged);
+  w.key("wcrt_ns").integer(r.wcrt.count_ns());
+  w.key("bcrt_ns").integer(r.bcrt.count_ns());
+  w.key("deadline_ns").integer(r.deadline.count_ns());
+  w.key("busy_period_ns").integer(r.busy_period.count_ns());
+  w.key("instances").integer(r.instances);
+  w.key("fixedpoint_iterations").integer(r.fixedpoint_iterations);
+  w.key("breakdown").begin_object();
+  w.key("blocking_frame").string(p.blocking_frame);
+  w.key("bus_blocking_ns").integer(p.bus_blocking.count_ns());
+  w.key("intra_node_blocking_ns").integer(p.intra_node_blocking.count_ns());
+  w.key("critical_instance").integer(p.critical_instance);
+  w.key("critical_window_ns").integer(p.critical_window.count_ns());
+  w.key("preceding_instances_ns").integer(p.preceding_instances.count_ns());
+  w.key("interference").begin_array();
+  for (const InterferenceShare& s : p.interference) {
+    w.begin_object();
+    w.key("name").string(s.name);
+    w.key("offset_group").boolean(s.offset_group);
     if (s.offset_group) {
-      out += "\"members\":[";
-      for (std::size_t j = 0; j < s.members.size(); ++j) {
-        if (j) out += ",";
-        appendf(out, "\"%s\"", obs::json_escape(s.members[j]).c_str());
-      }
-      out += "],";
+      w.key("members").begin_array();
+      for (const std::string& m : s.members) w.string(m);
+      w.end_array();
     } else {
-      appendf(out, "\"preemptions\":%" PRId64 ",", s.preemptions);
+      w.key("preemptions").integer(s.preemptions);
     }
-    appendf(out, "\"contribution_ns\":%" PRId64 "}", s.contribution.count_ns());
+    w.key("contribution_ns").integer(s.contribution.count_ns());
+    w.end_object();
   }
-  out += "],";
-  appendf(out, "\"interference_total_ns\":%" PRId64 ",", p.interference_total.count_ns());
-  appendf(out, "\"error_overhead_ns\":%" PRId64 ",", p.error_overhead.count_ns());
-  appendf(out, "\"own_cost_ns\":%" PRId64 ",", p.own_cost.count_ns());
-  appendf(out, "\"arrival_credit_ns\":%" PRId64 ",", p.arrival_credit.count_ns());
-  appendf(out, "\"sum_of_parts_ns\":%" PRId64 ",", p.sum_of_parts().count_ns());
-  appendf(out, "\"sum_check\":%s},", p.sum_check() ? "true" : "false");
-  appendf(out, "\"busy_iterates_ns\":%s,", iterates_to_json(p.busy_iterates).c_str());
-  appendf(out, "\"window_iterates_ns\":%s}", iterates_to_json(p.window_iterates).c_str());
+  w.end_array();
+  w.key("interference_total_ns").integer(p.interference_total.count_ns());
+  w.key("error_overhead_ns").integer(p.error_overhead.count_ns());
+  w.key("own_cost_ns").integer(p.own_cost.count_ns());
+  w.key("arrival_credit_ns").integer(p.arrival_credit.count_ns());
+  w.key("sum_of_parts_ns").integer(p.sum_of_parts().count_ns());
+  w.key("sum_check").boolean(p.sum_check());
+  w.end_object();
+  w.key("busy_iterates_ns");
+  iterates_to_json(w, p.busy_iterates);
+  w.key("window_iterates_ns");
+  iterates_to_json(w, p.window_iterates);
+  w.end_object();
   return out;
 }
 

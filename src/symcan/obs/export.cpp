@@ -1,17 +1,19 @@
 #include "symcan/obs/export.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace symcan::obs {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void append_json_escaped(std::string& out, std::string_view s) {
+  std::size_t clean = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, clean, i - clean);
+    clean = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -20,31 +22,45 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s, clean, s.size() - clean);
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  out.append(buf, static_cast<std::size_t>(
+                      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr -
+                      buf));
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 namespace {
 
 void append_quoted(std::string& out, const std::string& s) {
   out += '"';
-  out += json_escape(s);
+  append_json_escaped(out, s);
   out += '"';
 }
 

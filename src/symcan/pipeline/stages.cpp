@@ -1,6 +1,10 @@
 #include "symcan/pipeline/stages.hpp"
 
+#include <charconv>
+#include <concepts>
 #include <ostream>
+#include <string>
+#include <string_view>
 #include <stdexcept>
 
 #include "symcan/analysis/load.hpp"
@@ -68,23 +72,118 @@ std::shared_ptr<const ErrorModel> matching_error_model(const SimErrorProcess& p)
   return std::make_shared<NoErrors>();
 }
 
+namespace {
+
+/// The text a render stage builds before handing it to the stream in one
+/// write. Per thread, so serve workers reuse the capacity request after
+/// request; the largest verdict table bounds it (a few KB).
+struct RenderScratch {
+  std::string text;
+  TextTable table;
+};
+
+RenderScratch& render_scratch() {
+  thread_local RenderScratch s;
+  s.text.clear();
+  s.table.clear();
+  return s;
+}
+
+void flush(std::string& text, std::ostream& out) {
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  text.clear();
+}
+
+template <typename T>
+std::size_t format_number(char* buf, T v, std::size_t cap) {
+  return static_cast<std::size_t>(std::to_chars(buf, buf + cap, v).ptr - buf);
+}
+
+template <typename T>
+void append_number(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, format_number(buf, v, sizeof buf));
+}
+
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[64];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+/// A table cell rendered into its own stack buffer; lives until the end of
+/// the full expression that builds the row.
+struct Cell {
+  char buf[kDurationChars];
+  std::size_t len = 0;
+
+  Cell() = default;
+  explicit Cell(Duration d) : len{format_duration(buf, d)} {}
+  template <std::integral T>
+  explicit Cell(T v) : len{format_number(buf, v, sizeof buf)} {}
+  operator std::string_view() const { return {buf, len}; }
+};
+
+/// "0x%03X": upper-case hex, at least three digits.
+Cell hex_id(CanId id) {
+  char digits[8];
+  const auto n = static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof digits, id, 16).ptr - digits);
+  Cell c;
+  c.buf[c.len++] = '0';
+  c.buf[c.len++] = 'x';
+  for (std::size_t i = n; i < 3; ++i) c.buf[c.len++] = '0';
+  for (std::size_t i = 0; i < n; ++i)
+    c.buf[c.len++] = digits[i] >= 'a' ? static_cast<char>(digits[i] - 'a' + 'A') : digits[i];
+  return c;
+}
+
+/// "bus NAME: N messages, load U% of B kbit/s\n"
+void append_load_line(std::string& out, const KMatrix& km, const LoadReport& load) {
+  out += "bus ";
+  out += std::string_view{km.bus_name().c_str()};  // printf %s: up to the first NUL
+  out += ": ";
+  append_number(out, km.size());
+  out += " messages, load ";
+  append_fixed(out, 100 * load.utilization, 1);
+  out += "% of ";
+  append_fixed(out, load.bandwidth_bps / 1000, 0);
+  out += " kbit/s\n";
+}
+
+/// "LABEL: N/M\n", the count line under a verdict table.
+void append_count_line(std::string& out, const char* label, std::size_t n, std::size_t of) {
+  out += label;
+  out += ": ";
+  append_number(out, n);
+  out += '/';
+  append_number(out, of);
+  out += '\n';
+}
+
+}  // namespace
+
 int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out,
                    analysis::IncrementalRta* cache) {
   SYMCAN_OBS_SPAN("pipeline.analyze");
+  RenderScratch& s = render_scratch();
   const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  out << strprintf("bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
-                   km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
+  append_load_line(s.text, km, load);
+  // The load line goes out before the analysis runs: when the analysis
+  // throws, the CLI's stdout still shows which bus it was.
+  flush(s.text, out);
 
   const BusResult res = cache ? cache->analyze(km, cfg) : CanRta{km, cfg}.analyze();
-  TextTable t;
+  TextTable& t = s.table;
   t.header({"message", "id", "wcrt", "deadline", "slack", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const MessageResult& m = res.messages[i];
-    t.row({m.name, strprintf("0x%03X", m.id), to_string(m.wcrt), to_string(m.deadline),
-           to_string(m.slack()), m.schedulable ? "ok" : "MISS"});
+    t.row({m.name, hex_id(m.id), Cell{m.wcrt}, Cell{m.deadline}, Cell{m.slack()},
+           m.schedulable ? "ok" : "MISS"});
   }
-  t.print(out);
-  out << strprintf("misses: %zu/%zu\n", res.miss_count(), res.messages.size());
+  t.append_to(s.text);
+  append_count_line(s.text, "misses", res.miss_count(), res.messages.size());
+  flush(s.text, out);
   return res.all_schedulable() ? 0 : 1;
 }
 
@@ -101,25 +200,31 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   pcfg.tile = spec.tile;
   analysis::validate_prob_config(pcfg);
 
+  RenderScratch& s = render_scratch();
   const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  out << strprintf("bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
-                   km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
-  out << strprintf("probabilities (ppm): fault %lld, worst-case stuffing %lld, jitter %lld\n",
-                   static_cast<long long>(spec.fault_ppm), static_cast<long long>(spec.stuff_ppm),
-                   static_cast<long long>(spec.jitter_ppm));
+  append_load_line(s.text, km, load);
+  s.text += "probabilities (ppm): fault ";
+  append_number(s.text, spec.fault_ppm);
+  s.text += ", worst-case stuffing ";
+  append_number(s.text, spec.stuff_ppm);
+  s.text += ", jitter ";
+  append_number(s.text, spec.jitter_ppm);
+  s.text += '\n';
+  flush(s.text, out);
 
   const ProbBusResult res =
       cache ? cache->analyze_prob(km, pcfg) : analysis::analyze_prob(km, pcfg);
-  TextTable t;
+  TextTable& t = s.table;
   t.header({"message", "id", "det wcrt", "deadline", "miss ppm", "atoms", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const ProbMessageResult& m = res.messages[i];
-    t.row({m.det.name, strprintf("0x%03X", m.det.id), to_string(m.det.wcrt),
-           to_string(m.det.deadline), strprintf("%lld", static_cast<long long>(m.miss_ppm())),
-           strprintf("%zu", m.response.atoms().size()), m.miss_weight == 0 ? "ok" : "AT-RISK"});
+    t.row({m.det.name, hex_id(m.det.id), Cell{m.det.wcrt}, Cell{m.det.deadline},
+           Cell{m.miss_ppm()}, Cell{m.response.atoms().size()},
+           m.miss_weight == 0 ? "ok" : "AT-RISK"});
   }
-  t.print(out);
-  out << strprintf("at-risk: %zu/%zu\n", res.miss_count(), res.messages.size());
+  t.append_to(s.text);
+  append_count_line(s.text, "at-risk", res.miss_count(), res.messages.size());
+  flush(s.text, out);
   return res.miss_count() == 0 ? 0 : 1;
 }
 
@@ -195,8 +300,15 @@ OptimizeOutcome run_optimize(const KMatrix& km, const OptimizeSpec& spec) {
 int render_optimize(const KMatrix& km, const OptimizeSpec& spec, std::ostream& out) {
   SYMCAN_OBS_SPAN("pipeline.optimize");
   const OptimizeOutcome o = run_optimize(km, spec);
-  out << strprintf("GA: %d evaluations, best misses %.0f, robustness cost %.3f\n",
-                   o.result.evaluations, o.result.best.misses, o.result.best.robustness_cost);
+  RenderScratch& s = render_scratch();
+  s.text += "GA: ";
+  append_number(s.text, o.result.evaluations);
+  s.text += " evaluations, best misses ";
+  append_fixed(s.text, o.result.best.misses, 0);
+  s.text += ", robustness cost ";
+  append_fixed(s.text, o.result.best.robustness_cost, 3);
+  s.text += '\n';
+  flush(s.text, out);
   out << kmatrix_to_csv(o.optimized);
   return o.result.best.misses == 0 ? 0 : 1;
 }

@@ -294,66 +294,64 @@ std::optional<ServeRequest> request_from_jsonl(const std::string& line, std::siz
   return req;
 }
 
-namespace {
-
-/// json_escape escapes content only; the wire format wants quoted strings.
-std::string quote(const std::string& s) { return "\"" + obs::json_escape(s) + "\""; }
-
-}  // namespace
-
 std::string request_to_jsonl(const ServeRequest& req) {
-  using obs::json_number;
-  std::string out = "{\"id\":" + quote(req.id);
-  out += ",\"kind\":\"" + std::string(to_string(req.kind)) + "\"";
+  std::string out;
+  obs::JsonWriter w{out};
+  w.begin_object();
+  w.key("id").string(req.id);
+  w.key("kind").string(to_string(req.kind));
   if (req.kind != RequestKind::kHealth && req.kind != RequestKind::kTelemetry)
-    out += ",\"matrix_csv\":" + quote(req.matrix_csv);
+    w.key("matrix_csv").string(req.matrix_csv);
   if (req.preset != AssumptionPreset::kDefault)
-    out += ",\"preset\":\"" + std::string(pipeline::to_string(req.preset)) + "\"";
-  if (req.jitter) out += ",\"jitter\":" + json_number(*req.jitter);
-  if (req.override_known) out += ",\"override_known\":true";
+    w.key("preset").string(pipeline::to_string(req.preset));
+  if (req.jitter) w.key("jitter").number(*req.jitter);
+  if (req.override_known) w.key("override_known").boolean(true);
   // `message` is mandatory for explain, so it is always spelled there
   // (an empty name is a present-but-empty value, not an absent key).
-  if (req.kind == RequestKind::kExplain) out += ",\"message\":" + quote(req.message);
-  if (req.json) out += ",\"json\":true";
-  if (req.millis != 2000) out += ",\"millis\":" + std::to_string(req.millis);
-  if (req.seed) out += ",\"seed\":" + std::to_string(*req.seed);
-  if (req.errors != "none") out += ",\"errors\":" + quote(req.errors);
-  if (req.error_gap_ms) out += ",\"error_gap_ms\":" + std::to_string(*req.error_gap_ms);
-  if (req.generations != 25) out += ",\"generations\":" + std::to_string(req.generations);
-  if (req.population != 32) out += ",\"population\":" + std::to_string(req.population);
-  if (req.target_jitter != 0.25) out += ",\"target_jitter\":" + json_number(req.target_jitter);
-  if (req.fault_ppm != 1'000'000) out += ",\"fault_ppm\":" + std::to_string(req.fault_ppm);
-  if (req.stuff_ppm != 1'000'000) out += ",\"stuff_ppm\":" + std::to_string(req.stuff_ppm);
-  if (req.jitter_ppm != 1'000'000) out += ",\"jitter_ppm\":" + std::to_string(req.jitter_ppm);
-  if (req.max_rungs != 96) out += ",\"max_rungs\":" + std::to_string(req.max_rungs);
-  if (req.dump) out += ",\"dump\":true";
-  out += "}";
+  if (req.kind == RequestKind::kExplain) w.key("message").string(req.message);
+  if (req.json) w.key("json").boolean(true);
+  if (req.millis != 2000) w.key("millis").integer(req.millis);
+  if (req.seed) w.key("seed").integer(*req.seed);
+  if (req.errors != "none") w.key("errors").string(req.errors);
+  if (req.error_gap_ms) w.key("error_gap_ms").integer(*req.error_gap_ms);
+  if (req.generations != 25) w.key("generations").integer(req.generations);
+  if (req.population != 32) w.key("population").integer(req.population);
+  if (req.target_jitter != 0.25) w.key("target_jitter").number(req.target_jitter);
+  if (req.fault_ppm != 1'000'000) w.key("fault_ppm").integer(req.fault_ppm);
+  if (req.stuff_ppm != 1'000'000) w.key("stuff_ppm").integer(req.stuff_ppm);
+  if (req.jitter_ppm != 1'000'000) w.key("jitter_ppm").integer(req.jitter_ppm);
+  if (req.max_rungs != 96) w.key("max_rungs").integer(req.max_rungs);
+  if (req.dump) w.key("dump").boolean(true);
+  w.end_object();
   return out;
 }
 
 std::string response_to_jsonl(const ServeResponse& resp) {
-  std::string out = "{\"id\":" + quote(resp.id);
-  out += ",\"kind\":\"" + std::string(to_string(resp.kind)) + "\"";
-  out += ",\"status\":\"" + std::string(to_string(resp.status)) + "\"";
-  out += ",\"exit_code\":" + std::to_string(resp.exit_code);
-  if (!resp.output.empty()) out += ",\"output\":" + quote(resp.output);
+  std::string out;
+  // The escaped output dominates the line; reserve for it and a few
+  // escapes per text line so the common reply appends without regrowth.
+  out.reserve(resp.output.size() + resp.output.size() / 16 + resp.health_json.size() + 128);
+  obs::JsonWriter w{out};
+  w.begin_object();
+  w.key("id").string(resp.id);
+  w.key("kind").string(to_string(resp.kind));
+  w.key("status").string(to_string(resp.status));
+  w.key("exit_code").integer(resp.exit_code);
+  if (!resp.output.empty()) w.key("output").string(resp.output);
   if (!resp.diagnostics.empty()) {
-    out += ",\"diagnostics\":[";
-    bool first = true;
+    w.key("diagnostics").begin_array();
     for (const Diagnostic& d : resp.diagnostics) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"severity\":\"" + std::string(to_string(d.severity)) + "\"";
-      out += ",\"line\":" + std::to_string(d.line);
-      out += ",\"message\":" + quote(d.message) + "}";
+      w.begin_object();
+      w.key("severity").string(to_string(d.severity));
+      w.key("line").integer(d.line);
+      w.key("message").string(d.message);
+      w.end_object();
     }
-    out += "]";
+    w.end_array();
   }
-  if (!resp.health_json.empty()) {
-    const char* key = resp.kind == RequestKind::kTelemetry ? "telemetry" : "health";
-    out += ",\"" + std::string(key) + "\":" + resp.health_json;
-  }
-  out += "}";
+  if (!resp.health_json.empty())
+    w.key(resp.kind == RequestKind::kTelemetry ? "telemetry" : "health").raw(resp.health_json);
+  w.end_object();
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include "symcan/serve/server.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -19,7 +21,49 @@ bool blank(const std::string& line) {
   return true;
 }
 
+/// One input line of a cycle; `too_long` lines carry no text.
+struct InputLine {
+  std::size_t no = 0;
+  std::string text;
+  bool too_long = false;
+};
+
 }  // namespace
+
+LineRead read_request_line(std::istream& in, std::string& line, std::size_t max_bytes) {
+  // Chunked istream::getline: each call stores at most `room` bytes, so
+  // the line never grows past max_bytes + 1 before it is judged.
+  constexpr std::size_t kChunk = std::size_t{8} << 10;
+  line.clear();
+  for (;;) {
+    const std::size_t have = line.size();
+    const std::size_t room = std::min(kChunk, max_bytes + 1 - have);
+    line.resize(have + room + 1);  // + the terminator getline writes
+    in.getline(line.data() + have, static_cast<std::streamsize>(room + 1));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (!in.fail()) {
+      // Stopped at the newline (extracted and counted by gcount) or at
+      // end of input after at least one byte.
+      line.resize(have + (in.eof() ? got : got - 1));
+      if (line.size() <= max_bytes) return LineRead::kLine;
+      line.clear();
+      return LineRead::kTooLong;
+    }
+    if (in.bad() || in.eof()) {
+      // End of input with nothing extracted by this call.
+      line.resize(have);
+      return have > 0 ? LineRead::kLine : LineRead::kEnd;
+    }
+    // The chunk filled before a newline appeared.
+    in.clear();
+    line.resize(have + got);
+    if (line.size() > max_bytes) {
+      line.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      return LineRead::kTooLong;
+    }
+  }
+}
 
 int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
   std::string line;
@@ -27,21 +71,32 @@ int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
   bool eof = false;
   while (!eof) {
     // Read one cycle's worth of lines.
-    std::vector<std::pair<std::size_t, std::string>> lines;
+    std::vector<InputLine> lines;
     while (lines.size() < core.config().batch_max) {
-      if (!std::getline(in, line)) {
+      const LineRead r = read_request_line(in, line, kMaxRequestLineBytes);
+      if (r == LineRead::kEnd) {
         eof = true;
         break;
       }
       ++line_no;
+      if (r == LineRead::kTooLong) {
+        lines.push_back({line_no, {}, true});
+        continue;
+      }
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!blank(line)) lines.emplace_back(line_no, line);
+      if (!blank(line)) lines.push_back({line_no, line, false});
     }
     if (lines.empty() && eof) break;
 
     // Parse; answer malformed lines immediately, enqueue the rest.
-    for (auto& [no, text] : lines) {
+    for (auto& [no, text, too_long] : lines) {
       Diagnostics diags{core.config().policy, "serve request"};
+      if (too_long) {
+        diags.error(no, "request line longer than the " + std::to_string(kMaxRequestLineBytes) +
+                            "-byte limit; discarded through its newline");
+        out << response_to_jsonl(invalid_response("", diags)) << "\n";
+        continue;
+      }
       auto req = request_from_jsonl(text, no, diags);
       if (!req) {
         out << response_to_jsonl(invalid_response("", diags)) << "\n";

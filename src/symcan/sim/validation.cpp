@@ -1,7 +1,6 @@
 #include "symcan/sim/validation.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 
 #include "symcan/obs/export.hpp"
@@ -54,29 +53,26 @@ std::string validation_to_text(const BoundValidation& v) {
 }
 
 std::string validation_to_json(const BoundValidation& v) {
-  std::string out = "{";
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "\"violations\":%zu,", v.violations);
-  out += buf;
-  out += "\"worst_tightness\":" + obs::json_number(v.worst_tightness) + ",";
-  out += "\"messages\":[";
-  for (std::size_t i = 0; i < v.messages.size(); ++i) {
-    const BoundObservation& o = v.messages[i];
-    if (i) out += ",";
-    out += "{\"name\":\"" + obs::json_escape(o.name) + "\",";
-    std::snprintf(buf, sizeof buf,
-                  "\"bound_ns\":%" PRId64 ",\"observed_max_ns\":%" PRId64
-                  ",\"observed_p99_ns\":%" PRId64 ",\"completions\":%" PRId64 ",",
-                  o.bound.count_ns(), o.observed_max.count_ns(), o.observed_p99.count_ns(),
-                  o.completions);
-    out += buf;
-    out += "\"diverged\":";
-    out += o.diverged ? "true" : "false";
-    out += ",\"violation\":";
-    out += o.violation ? "true" : "false";
-    out += ",\"tightness\":" + obs::json_number(o.tightness()) + "}";
+  std::string out;
+  obs::JsonWriter w{out};
+  w.begin_object();
+  w.key("violations").integer(v.violations);
+  w.key("worst_tightness").number(v.worst_tightness);
+  w.key("messages").begin_array();
+  for (const BoundObservation& o : v.messages) {
+    w.begin_object();
+    w.key("name").string(o.name);
+    w.key("bound_ns").integer(o.bound.count_ns());
+    w.key("observed_max_ns").integer(o.observed_max.count_ns());
+    w.key("observed_p99_ns").integer(o.observed_p99.count_ns());
+    w.key("completions").integer(o.completions);
+    w.key("diverged").boolean(o.diverged);
+    w.key("violation").boolean(o.violation);
+    w.key("tightness").number(o.tightness());
+    w.end_object();
   }
-  out += "]}";
+  w.end_array();
+  w.end_object();
   return out;
 }
 

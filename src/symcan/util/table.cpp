@@ -6,33 +6,86 @@
 
 namespace symcan {
 
-void TextTable::header(std::vector<std::string> cells) { header_ = std::move(cells); }
+template <typename Range>
+void TextTable::Cells::add_row(const Range& cells) {
+  for (const auto& c : cells) {
+    text.append(c);
+    cell_end.push_back(text.size());
+  }
+  row_end.push_back(cell_end.size());
+}
 
-void TextTable::row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
+void TextTable::Cells::clear() {
+  text.clear();
+  cell_end.clear();
+  row_end.clear();
+}
 
-void TextTable::print(std::ostream& os) const {
+void TextTable::header(std::initializer_list<std::string_view> cells) {
+  header_.clear();
+  header_.add_row(cells);
+}
+
+void TextTable::header(const std::vector<std::string>& cells) {
+  header_.clear();
+  header_.add_row(cells);
+}
+
+void TextTable::row(std::initializer_list<std::string_view> cells) { body_.add_row(cells); }
+
+void TextTable::row(const std::vector<std::string>& cells) { body_.add_row(cells); }
+
+void TextTable::clear() {
+  header_.clear();
+  body_.clear();
+}
+
+void TextTable::append_to(std::string& out) const {
+  // Column widths over the header and every row.
   std::vector<std::size_t> width;
-  auto widen = [&](const std::vector<std::string>& r) {
-    if (r.size() > width.size()) width.resize(r.size(), 0);
-    for (std::size_t i = 0; i < r.size(); ++i) width[i] = std::max(width[i], r[i].size());
-  };
-  if (!header_.empty()) widen(header_);
-  for (const auto& r : rows_) widen(r);
-
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      os << r[i];
-      if (i + 1 < r.size()) os << std::string(width[i] - r[i].size() + 2, ' ');
+  const auto widen = [&](const Cells& c) {
+    std::size_t first = 0, start = 0;
+    for (const std::size_t last : c.row_end) {
+      if (last - first > width.size()) width.resize(last - first, 0);
+      for (std::size_t k = first; k < last; ++k) {
+        width[k - first] = std::max(width[k - first], c.cell_end[k] - start);
+        start = c.cell_end[k];
+      }
+      first = last;
     }
-    os << '\n';
   };
-  if (!header_.empty()) {
+  // An empty header row is no header: nothing is printed for it.
+  const bool has_header = !header_.cell_end.empty();
+  if (has_header) widen(header_);
+  widen(body_);
+
+  const auto emit = [&](const Cells& c) {
+    std::size_t first = 0, start = 0;
+    for (const std::size_t last : c.row_end) {
+      for (std::size_t k = first; k < last; ++k) {
+        const std::size_t len = c.cell_end[k] - start;
+        out.append(c.text, start, len);
+        if (k + 1 < last) out.append(width[k - first] - len + 2, ' ');
+        start = c.cell_end[k];
+      }
+      out += '\n';
+      first = last;
+    }
+  };
+  if (has_header) {
     emit(header_);
     std::size_t total = 0;
     for (std::size_t i = 0; i < width.size(); ++i) total += width[i] + (i + 1 < width.size() ? 2 : 0);
-    os << std::string(total, '-') << '\n';
+    out.append(total, '-');
+    out += '\n';
   }
-  for (const auto& r : rows_) emit(r);
+  emit(body_);
+}
+
+void TextTable::print(std::ostream& os) const {
+  std::string out;
+  append_to(out);
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 std::string strprintf(const char* fmt, ...) {

@@ -1,31 +1,61 @@
 #pragma once
 
 // Lightweight aligned-text table printer used by benches and examples to
-// render paper-style result tables on stdout.
+// render paper-style result tables on stdout, and by the analyze/prob
+// stages to render their verdict tables.
 
+#include <cstddef>
+#include <initializer_list>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace symcan {
 
 /// Collects rows of string cells and prints them with aligned columns.
+///
+/// Cells are copied into one flat arena (their text back to back in one
+/// string, plus end offsets), so adding a row allocates nothing once the
+/// arena has grown, and clear() keeps the capacity for the next table.
 class TextTable {
  public:
   /// Set the header row. Resets any previously set header.
-  void header(std::vector<std::string> cells);
+  void header(std::initializer_list<std::string_view> cells);
+  void header(const std::vector<std::string>& cells);
 
   /// Append a data row. Rows may have differing lengths.
-  void row(std::vector<std::string> cells);
+  void row(std::initializer_list<std::string_view> cells);
+  void row(const std::vector<std::string>& cells);
 
-  /// Render with a separator line beneath the header.
+  /// Append the rendering to `out`: every cell but a row's last is padded
+  /// to its column's width plus two spaces, and a line of '-' as wide as
+  /// the table separates the header (when set) from the rows.
+  void append_to(std::string& out) const;
+
+  /// Render with a separator line beneath the header, as one write.
   void print(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
+  std::size_t row_count() const { return body_.row_end.size(); }
+
+  /// Drop header and rows, keeping the arena's capacity.
+  void clear();
 
  private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  /// Rows of cells in one arena: cell k is text[cell_end[k-1], cell_end[k]),
+  /// and row r holds cells [row_end[r-1], row_end[r]).
+  struct Cells {
+    std::string text;
+    std::vector<std::size_t> cell_end;
+    std::vector<std::size_t> row_end;
+
+    template <typename Range>
+    void add_row(const Range& cells);
+    void clear();
+  };
+
+  Cells header_;
+  Cells body_;
 };
 
 /// printf-style helper returning std::string.

@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -171,7 +172,18 @@ constexpr std::int64_t floor_div(Duration a, Duration b) {
 constexpr Duration min(Duration a, Duration b) { return a < b ? a : b; }
 constexpr Duration max(Duration a, Duration b) { return a > b ? a : b; }
 
-/// Human-readable rendering with an adaptive unit ("1.25 ms", "500 ns").
+/// Capacity a format_duration buffer needs; the longest rendering is
+/// about 15 characters ("-9.22337e+09 s").
+inline constexpr std::size_t kDurationChars = 32;
+
+/// Human-readable rendering with an adaptive unit ("1.25 ms", "500 ns"):
+/// whole nanoseconds below 1 us, otherwise six significant digits (the
+/// printf "%.6g" spelling) in the largest unit of us/ms/s that the
+/// magnitude reaches; "inf" for Duration::infinite(). Writes into `buf`
+/// (at least kDurationChars bytes, not NUL-terminated) and returns the
+/// length. The single formatter behind to_string and operator<<.
+std::size_t format_duration(char* buf, Duration d);
+
 std::string to_string(Duration d);
 
 }  // namespace symcan

@@ -97,6 +97,16 @@ TEST(FuzzCorpus, ServeCorpusVerbatim) {
     ASSERT_NO_THROW(check_serve_request_input(read_file(f.string()))) << f;
 }
 
+TEST(FuzzCorpus, ServeLineReaderOnCorpusAndMutations) {
+  for (const auto& f : corpus_files("serve")) {
+    const std::string seed_text = read_file(f.string());
+    ASSERT_NO_THROW(check_serve_line_reader(seed_text)) << f;
+    for (std::uint64_t seed = 1; seed <= kMutationsPerSeed; ++seed)
+      ASSERT_NO_THROW(check_serve_line_reader(mutate_serve_jsonl(seed_text, seed)))
+          << f << " seed " << seed;
+  }
+}
+
 TEST(FuzzCorpus, TraceCorpusVerbatim) {
   const auto files = corpus_files("trace");
   ASSERT_FALSE(files.empty());

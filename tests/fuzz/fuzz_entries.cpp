@@ -13,6 +13,7 @@
 #include "symcan/can/kmatrix_io.hpp"
 #include "symcan/cli/commands.hpp"
 #include "symcan/serve/request.hpp"
+#include "symcan/serve/server.hpp"
 #include "symcan/sim/trace_export.hpp"
 #include "symcan/stream/analyzer.hpp"
 #include "symcan/stream/trace_reader.hpp"
@@ -343,6 +344,32 @@ void check_serve_request_input(std::string_view data) {
     require(*back == *req, "serialize/parse round trip changed the request: " + wire);
     require(serve::request_to_jsonl(*back) == wire,
             "canonical spelling is not a fixed point: " + wire);
+  }
+}
+
+void check_serve_line_reader(std::string_view data) {
+  if (data.size() > kMaxInputBytes) return;
+  std::vector<std::string> want;
+  {
+    std::istringstream ref{std::string{data}};
+    for (std::string l; std::getline(ref, l);) want.push_back(l);
+  }
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                std::size_t{4096}}) {
+    std::istringstream in{std::string{data}};
+    std::string line;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const serve::LineRead r = serve::read_request_line(in, line, cap);
+      const std::string where = "line " + std::to_string(i + 1) + " at cap " + std::to_string(cap);
+      require(line.size() <= cap, "bounded reader holds more than the cap, " + where);
+      if (want[i].size() <= cap)
+        require(r == serve::LineRead::kLine && line == want[i],
+                "bounded reader changed a line that fits, " + where);
+      else
+        require(r == serve::LineRead::kTooLong, "bounded reader passed an oversize line, " + where);
+    }
+    require(serve::read_request_line(in, line, cap) == serve::LineRead::kEnd,
+            "bounded reader returned more lines than std::getline at cap " + std::to_string(cap));
   }
 }
 

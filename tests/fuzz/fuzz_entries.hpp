@@ -65,6 +65,14 @@ void check_trace_jsonl_input(std::string_view data);
 /// point of serialization.
 void check_serve_request_input(std::string_view data);
 
+/// Feed one byte stream through the stdio transport's bounded line
+/// reader (serve::read_request_line) at several small caps. Every line
+/// std::getline would return must come back identical when it fits the
+/// cap and as kTooLong (consumed through its newline) when it does not,
+/// in the same order, followed by kEnd; the reader never holds more than
+/// the cap in its line.
+void check_serve_line_reader(std::string_view data);
+
 /// Feed one K-Matrix CSV document through kmatrix_from_csv, then pack an
 /// accepted matrix into the columnar solve core and hold it to the
 /// layout contract: the CSR structure is well formed (monotonic index

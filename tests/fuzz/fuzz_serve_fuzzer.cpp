@@ -10,7 +10,8 @@
 #include "fuzz_entries.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  symcan::fuzz::check_serve_request_input(
-      std::string_view{reinterpret_cast<const char*>(data), size});
+  const std::string_view text{reinterpret_cast<const char*>(data), size};
+  symcan::fuzz::check_serve_request_input(text);
+  symcan::fuzz::check_serve_line_reader(text);
   return 0;
 }

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "symcan/sim/trace.hpp"
@@ -65,6 +69,44 @@ TEST(JsonEscape, PinnedByteForByte) {
   // Non-ASCII bytes (UTF-8 continuation etc.) pass through untouched.
   EXPECT_EQ(obs::json_escape("\xc3\xa9"), "\xc3\xa9");
   EXPECT_EQ(obs::json_escape(kHostile), "a\\\"b\\\\c\\nd\\te\\u0001f, \\\"}], ");
+}
+
+TEST(JsonWriter, PlacesCommasAcrossNestedScopes) {
+  std::string out;
+  obs::JsonWriter w{out};
+  w.begin_object();
+  w.key("id").string(kHostile);
+  w.key("n").integer(std::int64_t{-42});
+  w.key("u").integer(std::numeric_limits<std::uint64_t>::max());
+  w.key("ok").boolean(true);
+  w.key("list").begin_array();
+  w.integer(1).begin_object().end_object().begin_array().end_array().string("x");
+  w.end_array();
+  w.key("empty").begin_object().end_object();
+  w.key("raw").raw("{\"a\":[1,2]}");
+  w.key("nan").number(std::numeric_limits<double>::quiet_NaN());
+  w.key("pi").number(3.25);
+  w.end_object();
+  EXPECT_EQ(out,
+            "{\"id\":\"a\\\"b\\\\c\\nd\\te\\u0001f, \\\"}], \","
+            "\"n\":-42,\"u\":18446744073709551615,\"ok\":true,"
+            "\"list\":[1,{},[],\"x\"],\"empty\":{},\"raw\":{\"a\":[1,2]},"
+            "\"nan\":null,\"pi\":3.25}");
+  EXPECT_TRUE(json_well_formed(out)) << out;
+}
+
+TEST(JsonWriter, NumbersSpellLikeJsonNumber) {
+  for (const double v : {0.0, -0.0, 0.1, 1e300, -2.5e-7, 123456789.125,
+                         std::numeric_limits<double>::infinity()}) {
+    std::string out;
+    obs::JsonWriter{out}.number(v);
+    EXPECT_EQ(out, obs::json_number(v));
+    char buf[40];
+    if (std::isfinite(v)) {
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+      EXPECT_EQ(out, buf);
+    }
+  }
 }
 
 TEST(JsonEscape, MetricsExportSurvivesHostileMetricNames) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace symcan {
 namespace {
@@ -37,6 +41,70 @@ TEST(TextTable, RowCount) {
   t.row({"x"});
   t.row({"y"});
   EXPECT_EQ(t.row_count(), 2u);
+}
+
+/// The historical ostream printer, cell by cell; the reference the arena
+/// table must reproduce byte for byte.
+std::string reference_print(const std::vector<std::string>& header,
+                            const std::vector<std::vector<std::string>>& rows) {
+  std::ostringstream os;
+  std::vector<std::size_t> width;
+  auto widen = [&](const std::vector<std::string>& r) {
+    if (r.size() > width.size()) width.resize(r.size(), 0);
+    for (std::size_t i = 0; i < r.size(); ++i) width[i] = std::max(width[i], r[i].size());
+  };
+  if (!header.empty()) widen(header);
+  for (const auto& r : rows) widen(r);
+  auto emit = [&](const std::vector<std::string>& r) {
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      os << r[i];
+      if (i + 1 < r.size()) os << std::string(width[i] - r[i].size() + 2, ' ');
+    }
+    os << '\n';
+  };
+  if (!header.empty()) {
+    emit(header);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < width.size(); ++i)
+      total += width[i] + (i + 1 < width.size() ? 2 : 0);
+    os << std::string(total, '-') << '\n';
+  }
+  for (const auto& r : rows) emit(r);
+  return os.str();
+}
+
+TEST(TextTable, RandomRaggedTablesMatchReferencePrinter) {
+  std::mt19937_64 rng{13};
+  TextTable t;  // reused across tables: clear() must reset it fully
+  for (int round = 0; round < 500; ++round) {
+    const auto random_row = [&](std::size_t max_cells) {
+      std::vector<std::string> r(rng() % (max_cells + 1));
+      for (auto& c : r) c = std::string(rng() % 12, static_cast<char>('a' + rng() % 26));
+      return r;
+    };
+    const std::vector<std::string> header = round % 4 == 0 ? std::vector<std::string>{}
+                                                           : random_row(6);
+    std::vector<std::vector<std::string>> rows(rng() % 9);
+    for (auto& r : rows) r = random_row(7);
+
+    t.clear();
+    t.header(header);
+    for (const auto& r : rows) t.row(r);
+    std::ostringstream os;
+    t.print(os);
+    ASSERT_EQ(os.str(), reference_print(header, rows)) << "round " << round;
+    ASSERT_EQ(t.row_count(), rows.size());
+  }
+}
+
+TEST(TextTable, StringViewCellsAndAppendTo) {
+  TextTable t;
+  const std::string owned = "beta";
+  t.header({"k", std::string_view{"value"}});
+  t.row({owned, std::string_view{"1234567", 3}});
+  std::string out = ">";
+  t.append_to(out);
+  EXPECT_EQ(out, ">k     value\n-----------\nbeta  123\n");
 }
 
 TEST(Strprintf, FormatsLikePrintf) {
