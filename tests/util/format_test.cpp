@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "symcan/can/kmatrix.hpp"
 #include "symcan/obs/export.hpp"
+#include "symcan/pipeline/stages.hpp"
 #include "symcan/util/time.hpp"
 
 namespace symcan {
@@ -151,6 +153,34 @@ TEST(FormatDuration, ToStringAndStreamAreWrappers) {
   os.width(12);  // the stream honours field width as before
   os << d;
   EXPECT_EQ(os.str(), "   4.0468 ms");
+}
+
+TEST(RenderAnalyze, IdsSpellAsPrintfHex) {
+  // The id column is "0x%03X": upper-case, at least three digits, and
+  // as many as a 29-bit extended id needs.
+  KMatrix km{"bus", BitTiming{500'000}};
+  EcuNode node;
+  node.name = "ecu";
+  km.add_node(node);
+  const CanId ids[] = {0x5, 0x7F, 0x7FF, 0xABCD, 0x1ABCDEF, 0x1FFFFFFF};
+  for (const CanId id : ids) {
+    CanMessage m;
+    m.name = "m" + std::to_string(id);
+    m.id = id;
+    m.format = id > 0x7FF ? FrameFormat::kExtended : FrameFormat::kStandard;
+    m.payload_bytes = 1;
+    m.period = Duration::ms(100);
+    m.sender = node.name;
+    km.add_message(m);
+  }
+  std::ostringstream out;
+  pipeline::render_analyze(km, pipeline::assumptions_for(pipeline::AssumptionPreset::kDefault),
+                           out);
+  for (const CanId id : ids) {
+    char want[16];
+    std::snprintf(want, sizeof want, " 0x%03X ", id);
+    EXPECT_NE(out.str().find(want), std::string::npos) << want << "\n" << out.str();
+  }
 }
 
 TEST(JsonEscapeAppend, EveryByteMatchesCharByCharReference) {
