@@ -1,5 +1,6 @@
 #include "symcan/obs/export.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>

@@ -4,7 +4,6 @@
 // `chrome://tracing` / Perfetto JSON (load via chrome://tracing "Load" or
 // https://ui.perfetto.dev).
 
-#include <charconv>
 #include <concepts>
 #include <string>
 #include <string_view>
@@ -12,6 +11,7 @@
 
 #include "symcan/obs/metrics.hpp"
 #include "symcan/obs/trace.hpp"
+#include "symcan/util/time.hpp"
 
 namespace symcan::obs {
 
@@ -33,7 +33,7 @@ std::string json_number(double v);
 /// Append-only writer of compact JSON (no whitespace) into a caller-owned
 /// string. Commas are placed automatically: a key or array element
 /// written after a completed value is preceded by one. Strings go through
-/// append_json_escaped, integers through std::to_chars and doubles
+/// append_json_escaped, integers through append_integer and doubles
 /// through append_json_number, so every emitter built on it spells values
 /// the same way. The writer does not check nesting; callers keep their
 /// begin/end calls balanced.
@@ -65,8 +65,7 @@ class JsonWriter {
     requires(!std::is_same_v<Int, bool>)
   JsonWriter& integer(Int v) {
     separate();
-    char buf[24];
-    out_.append(buf, static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, v).ptr - buf));
+    append_integer(out_, v);
     comma_ = true;
     return *this;
   }

@@ -74,41 +74,9 @@ std::shared_ptr<const ErrorModel> matching_error_model(const SimErrorProcess& p)
 
 namespace {
 
-/// The text a render stage builds before handing it to the stream in one
-/// write. Per thread, so serve workers reuse the capacity request after
-/// request; the largest verdict table bounds it (a few KB).
-struct RenderScratch {
-  std::string text;
-  TextTable table;
-};
-
-RenderScratch& render_scratch() {
-  thread_local RenderScratch s;
-  s.text.clear();
-  s.table.clear();
-  return s;
-}
-
 void flush(std::string& text, std::ostream& out) {
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
   text.clear();
-}
-
-template <typename T>
-std::size_t format_number(char* buf, T v, std::size_t cap) {
-  return static_cast<std::size_t>(std::to_chars(buf, buf + cap, v).ptr - buf);
-}
-
-template <typename T>
-void append_number(std::string& out, T v) {
-  char buf[24];
-  out.append(buf, format_number(buf, v, sizeof buf));
-}
-
-void append_fixed(std::string& out, double v, int precision) {
-  char buf[64];
-  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 /// A table cell rendered into its own stack buffer; lives until the end of
@@ -120,7 +88,7 @@ struct Cell {
   Cell() = default;
   explicit Cell(Duration d) : len{format_duration(buf, d)} {}
   template <std::integral T>
-  explicit Cell(T v) : len{format_number(buf, v, sizeof buf)} {}
+  explicit Cell(T v) : len{format_integer(buf, v)} {}
   operator std::string_view() const { return {buf, len}; }
 };
 
@@ -143,7 +111,7 @@ void append_load_line(std::string& out, const KMatrix& km, const LoadReport& loa
   out += "bus ";
   out += std::string_view{km.bus_name().c_str()};  // printf %s: up to the first NUL
   out += ": ";
-  append_number(out, km.size());
+  append_integer(out, km.size());
   out += " messages, load ";
   append_fixed(out, 100 * load.utilization, 1);
   out += "% of ";
@@ -155,9 +123,9 @@ void append_load_line(std::string& out, const KMatrix& km, const LoadReport& loa
 void append_count_line(std::string& out, const char* label, std::size_t n, std::size_t of) {
   out += label;
   out += ": ";
-  append_number(out, n);
+  append_integer(out, n);
   out += '/';
-  append_number(out, of);
+  append_integer(out, of);
   out += '\n';
 }
 
@@ -166,24 +134,24 @@ void append_count_line(std::string& out, const char* label, std::size_t n, std::
 int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out,
                    analysis::IncrementalRta* cache) {
   SYMCAN_OBS_SPAN("pipeline.analyze");
-  RenderScratch& s = render_scratch();
+  std::string text;
   const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  append_load_line(s.text, km, load);
+  append_load_line(text, km, load);
   // The load line goes out before the analysis runs: when the analysis
   // throws, the CLI's stdout still shows which bus it was.
-  flush(s.text, out);
+  flush(text, out);
 
   const BusResult res = cache ? cache->analyze(km, cfg) : CanRta{km, cfg}.analyze();
-  TextTable& t = s.table;
+  TextTable t;
   t.header({"message", "id", "wcrt", "deadline", "slack", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const MessageResult& m = res.messages[i];
     t.row({m.name, hex_id(m.id), Cell{m.wcrt}, Cell{m.deadline}, Cell{m.slack()},
            m.schedulable ? "ok" : "MISS"});
   }
-  t.append_to(s.text);
-  append_count_line(s.text, "misses", res.miss_count(), res.messages.size());
-  flush(s.text, out);
+  t.append_to(text);
+  append_count_line(text, "misses", res.miss_count(), res.messages.size());
+  flush(text, out);
   return res.all_schedulable() ? 0 : 1;
 }
 
@@ -200,21 +168,21 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   pcfg.tile = spec.tile;
   analysis::validate_prob_config(pcfg);
 
-  RenderScratch& s = render_scratch();
+  std::string text;
   const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  append_load_line(s.text, km, load);
-  s.text += "probabilities (ppm): fault ";
-  append_number(s.text, spec.fault_ppm);
-  s.text += ", worst-case stuffing ";
-  append_number(s.text, spec.stuff_ppm);
-  s.text += ", jitter ";
-  append_number(s.text, spec.jitter_ppm);
-  s.text += '\n';
-  flush(s.text, out);
+  append_load_line(text, km, load);
+  text += "probabilities (ppm): fault ";
+  append_integer(text, spec.fault_ppm);
+  text += ", worst-case stuffing ";
+  append_integer(text, spec.stuff_ppm);
+  text += ", jitter ";
+  append_integer(text, spec.jitter_ppm);
+  text += '\n';
+  flush(text, out);
 
   const ProbBusResult res =
       cache ? cache->analyze_prob(km, pcfg) : analysis::analyze_prob(km, pcfg);
-  TextTable& t = s.table;
+  TextTable t;
   t.header({"message", "id", "det wcrt", "deadline", "miss ppm", "atoms", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const ProbMessageResult& m = res.messages[i];
@@ -222,9 +190,9 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
            Cell{m.miss_ppm()}, Cell{m.response.atoms().size()},
            m.miss_weight == 0 ? "ok" : "AT-RISK"});
   }
-  t.append_to(s.text);
-  append_count_line(s.text, "at-risk", res.miss_count(), res.messages.size());
-  flush(s.text, out);
+  t.append_to(text);
+  append_count_line(text, "at-risk", res.miss_count(), res.messages.size());
+  flush(text, out);
   return res.miss_count() == 0 ? 0 : 1;
 }
 
@@ -300,15 +268,14 @@ OptimizeOutcome run_optimize(const KMatrix& km, const OptimizeSpec& spec) {
 int render_optimize(const KMatrix& km, const OptimizeSpec& spec, std::ostream& out) {
   SYMCAN_OBS_SPAN("pipeline.optimize");
   const OptimizeOutcome o = run_optimize(km, spec);
-  RenderScratch& s = render_scratch();
-  s.text += "GA: ";
-  append_number(s.text, o.result.evaluations);
-  s.text += " evaluations, best misses ";
-  append_fixed(s.text, o.result.best.misses, 0);
-  s.text += ", robustness cost ";
-  append_fixed(s.text, o.result.best.robustness_cost, 3);
-  s.text += '\n';
-  flush(s.text, out);
+  std::string text = "GA: ";
+  append_integer(text, o.result.evaluations);
+  text += " evaluations, best misses ";
+  append_fixed(text, o.result.best.misses, 0);
+  text += ", robustness cost ";
+  append_fixed(text, o.result.best.robustness_cost, 3);
+  text += '\n';
+  flush(text, out);
   out << kmatrix_to_csv(o.optimized);
   return o.result.best.misses == 0 ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 #include "symcan/sim/validation.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <string_view>
 
 #include "symcan/obs/export.hpp"
 
@@ -31,23 +31,59 @@ BoundValidation compare_bound_vs_observed(const BusResult& analysis, const SimRe
   return v;
 }
 
+namespace {
+
+/// printf "%-Ns" (left) or "%Ns": `s` padded with spaces to `width`.
+void append_padded(std::string& out, std::string_view s, std::size_t width, bool left) {
+  const std::size_t pad = s.size() < width ? width - s.size() : 0;
+  if (!left) out.append(pad, ' ');
+  out += s;
+  if (left) out.append(pad, ' ');
+}
+
+/// printf "%12s" of to_string(d).
+void append_duration_cell(std::string& out, Duration d) {
+  char buf[kDurationChars];
+  append_padded(out, {buf, format_duration(buf, d)}, 12, false);
+}
+
+/// printf "%*.1f%%" of fraction * 100.
+void append_percent(std::string& out, double fraction, std::size_t width) {
+  const std::size_t start = out.size();
+  append_fixed(out, fraction * 100.0, 1);
+  const std::size_t len = out.size() - start;
+  if (len < width) out.insert(start, width - len, ' ');
+  out += '%';
+}
+
+}  // namespace
+
 std::string validation_to_text(const BoundValidation& v) {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "bound vs observed: %zu messages, %zu violations, worst tightness %.1f%%\n",
-                v.messages.size(), v.violations, v.worst_tightness * 100.0);
-  out += buf;
-  std::snprintf(buf, sizeof buf, "%-20s %12s %12s %12s %12s %9s\n", "message", "bound",
-                "observed max", "observed p99", "gap", "tight");
-  out += buf;
+  std::string out = "bound vs observed: ";
+  append_integer(out, v.messages.size());
+  out += " messages, ";
+  append_integer(out, v.violations);
+  out += " violations, worst tightness ";
+  append_percent(out, v.worst_tightness, 0);
+  out += '\n';
+  append_padded(out, "message", 20, true);
+  for (const char* h : {"bound", "observed max", "observed p99", "gap"}) {
+    out += ' ';
+    append_padded(out, h, 12, false);
+  }
+  out += ' ';
+  append_padded(out, "tight", 9, false);
+  out += '\n';
   for (const BoundObservation& o : v.messages) {
-    std::snprintf(buf, sizeof buf, "%-20s %12s %12s %12s %12s %8.1f%%%s\n", o.name.c_str(),
-                  to_string(o.bound).c_str(), to_string(o.observed_max).c_str(),
-                  to_string(o.observed_p99).c_str(), to_string(o.gap()).c_str(),
-                  o.tightness() * 100.0,
-                  o.violation ? "  <-- VIOLATION: sim exceeds analytic bound" : "");
-    out += buf;
+    append_padded(out, o.name.c_str(), 20, true);  // printf %s: up to the first NUL
+    for (const Duration d : {o.bound, o.observed_max, o.observed_p99, o.gap()}) {
+      out += ' ';
+      append_duration_cell(out, d);
+    }
+    out += ' ';
+    append_percent(out, o.tightness(), 8);
+    if (o.violation) out += "  <-- VIOLATION: sim exceeds analytic bound";
+    out += '\n';
   }
   return out;
 }

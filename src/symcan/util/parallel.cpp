@@ -1,9 +1,10 @@
 #include "symcan/util/parallel.hpp"
 
 #include <chrono>
-#include <cstdio>
+#include <string>
 
 #include "symcan/obs/obs.hpp"
+#include "symcan/util/time.hpp"
 
 namespace symcan {
 
@@ -26,9 +27,9 @@ ParallelExecutor::ParallelExecutor(int threads) : threads_{resolve(threads)} {
   // worker fewer than the requested width.
   for (int i = 1; i < threads_; ++i)
     workers_.emplace_back([this, i] {
-      char name[32];
-      std::snprintf(name, sizeof name, "symcan-worker-%d", i);
-      obs::set_thread_name(name);
+      std::string name = "symcan-worker-";
+      append_integer(name, i);
+      obs::set_thread_name(name.c_str());
       worker_loop();
     });
 }

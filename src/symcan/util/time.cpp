@@ -1,43 +1,12 @@
 #include "symcan/util/time.hpp"
 
-#include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 namespace symcan {
-
-namespace {
-
-constexpr std::uint64_t kPow10[] = {1,         10,         100,         1'000,      10'000,
-                                    100'000,   1'000'000,  10'000'000,  100'000'000,
-                                    1'000'000'000};
-
-/// The "%.6g" spelling of a / 10^unit_exp (a >= 10^unit_exp) when it needs
-/// no rounding: at most six integer digits, and no nonzero digit of the
-/// remainder beyond the sixth significant one. Then the decimal value is
-/// exact in six digits and the double printf would round lies far closer
-/// to it than to the next six-digit boundary, so the bytes agree. Returns
-/// nullptr when rounding is needed.
-char* exact_six_digits(char* p, std::uint64_t a, int unit_exp) {
-  const std::uint64_t q = a / kPow10[unit_exp];
-  std::uint64_t r = a % kPow10[unit_exp];
-  int int_digits = 1;
-  while (int_digits < 7 && q >= kPow10[int_digits]) ++int_digits;
-  if (int_digits > 6) return nullptr;  // %g switches to 1e+06 notation
-  int frac = std::min(6 - int_digits, unit_exp);
-  const std::uint64_t dropped = kPow10[unit_exp - frac];
-  if (r % dropped != 0) return nullptr;
-  r /= dropped;
-  p = std::to_chars(p, p + 8, q).ptr;
-  if (r == 0) return p;
-  for (; r % 10 == 0; r /= 10) --frac;  // %g drops trailing zeros
-  *p++ = '.';
-  for (int i = frac - 1; i >= 0; --i, r /= 10) p[i] = static_cast<char>('0' + r % 10);
-  return p + frac;
-}
-
-}  // namespace
 
 std::size_t format_duration(char* buf, Duration d) {
   if (d.is_infinite()) {
@@ -53,18 +22,28 @@ std::size_t format_duration(char* buf, Duration d) {
     std::memcpy(p, " ns", 3);
     return static_cast<std::size_t>(p - buf) + 3;
   }
-  const int unit_exp = a >= 1'000'000'000 ? 9 : a >= 1'000'000 ? 6 : 3;
-  char* p = buf;
-  if (n < 0) *p++ = '-';
-  p = exact_six_digits(p, a, unit_exp);
-  if (!p) {
-    const double v = static_cast<double>(n) / static_cast<double>(kPow10[unit_exp]);
-    p = std::to_chars(buf, end, v, std::chars_format::general, 6).ptr;
+  // The same value and unit choice printf "%.6g" was given; to_chars
+  // rounds the double exactly as printf does.
+  double v = d.as_us();
+  std::string_view unit = " us";
+  if (a >= 1'000'000'000) {
+    v = d.as_s();
+    unit = " s";
+  } else if (a >= 1'000'000) {
+    v = d.as_ms();
+    unit = " ms";
   }
-  const char* unit = unit_exp == 9 ? " s" : unit_exp == 6 ? " ms" : " us";
-  const std::size_t u = unit_exp == 9 ? 2 : 3;
-  std::memcpy(p, unit, u);
-  return static_cast<std::size_t>(p - buf) + u;
+  char* p = std::to_chars(buf, end, v, std::chars_format::general, 6).ptr;
+  std::memcpy(p, unit.data(), unit.size());
+  return static_cast<std::size_t>(p - buf) + unit.size();
+}
+
+void append_fixed(std::string& out, double v, int precision) {
+  assert(precision >= 0 && precision <= 17);
+  // Any finite double: sign, 309 integer digits, point and decimals.
+  char buf[std::numeric_limits<double>::max_exponent10 + 3 + 17];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 std::string to_string(Duration d) {

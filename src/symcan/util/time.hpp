@@ -9,12 +9,15 @@
 // without rounding drift.
 
 #include <cassert>
+#include <charconv>
 #include <compare>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 namespace symcan {
 
@@ -185,5 +188,32 @@ inline constexpr std::size_t kDurationChars = 32;
 std::size_t format_duration(char* buf, Duration d);
 
 std::string to_string(Duration d);
+
+/// Capacity a format_integer buffer needs: any 64-bit integer, sign
+/// included, is at most 20 characters.
+inline constexpr std::size_t kIntegerChars = 20;
+
+/// Decimal spelling of `v`, as printf "%lld"/"%zu" writes it, into `buf`
+/// (at least kIntegerChars bytes, not NUL-terminated); returns the length.
+/// The one integer formatter of the output path. Header-only, so the obs
+/// layer below util uses it without linking util.
+template <std::integral Int>
+  requires(!std::is_same_v<Int, bool>)
+std::size_t format_integer(char* buf, Int v) {
+  static_assert(sizeof(Int) <= 8);
+  return static_cast<std::size_t>(std::to_chars(buf, buf + kIntegerChars, v).ptr - buf);
+}
+
+/// Append format_integer's spelling of `v` to `out`.
+template <std::integral Int>
+  requires(!std::is_same_v<Int, bool>)
+void append_integer(std::string& out, Int v) {
+  char buf[kIntegerChars];
+  out.append(buf, format_integer(buf, v));
+}
+
+/// Append `v` as printf "%.*f" writes it with `precision` (0..17)
+/// decimals; the fixed-notation formatter of the output path.
+void append_fixed(std::string& out, double v, int precision);
 
 }  // namespace symcan

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 
 #include "symcan/analysis/error_model.hpp"
@@ -125,6 +128,79 @@ TEST(BoundVsObservedEdge, MissingAndDivergedMessagesCannotViolate) {
   EXPECT_EQ(v.violations, 0u);
   EXPECT_TRUE(v.messages[0].gap().is_infinite());
   EXPECT_EQ(v.messages[1].completions, 0);
+}
+
+/// The printf layout validation_to_text had, kept here as the reference
+/// for its byte identity (rows of up to 255 bytes).
+std::string printf_validation_text(const BoundValidation& v) {
+  std::string out;
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "bound vs observed: %zu messages, %zu violations, worst tightness %.1f%%\n",
+                v.messages.size(), v.violations, v.worst_tightness * 100.0);
+  out += buf;
+  std::snprintf(buf, sizeof buf, "%-20s %12s %12s %12s %12s %9s\n", "message", "bound",
+                "observed max", "observed p99", "gap", "tight");
+  out += buf;
+  for (const BoundObservation& o : v.messages) {
+    std::snprintf(buf, sizeof buf, "%-20s %12s %12s %12s %12s %8.1f%%%s\n", o.name.c_str(),
+                  to_string(o.bound).c_str(), to_string(o.observed_max).c_str(),
+                  to_string(o.observed_p99).c_str(), to_string(o.gap()).c_str(),
+                  o.tightness() * 100.0,
+                  o.violation ? "  <-- VIOLATION: sim exceeds analytic bound" : "");
+    out += buf;
+  }
+  return out;
+}
+
+TEST(ValidationText, MatchesPrintfLayoutOnRandomReports) {
+  std::mt19937_64 rng{0x5eed};
+  std::uniform_int_distribution<int> rows{0, 6};
+  std::uniform_int_distribution<int> name_len{0, 40};
+  std::uniform_int_distribution<std::int64_t> ns{0, 5'000'000'000};
+  for (int t = 0; t < 2000; ++t) {
+    BusResult analysis;
+    SimResult sim;
+    const int n = rows(rng);
+    for (int i = 0; i < n; ++i) {
+      MessageResult r;
+      r.name = std::string(static_cast<std::size_t>(name_len(rng)), 'a' + static_cast<char>(i));
+      r.wcrt = rng() % 8 == 0 ? Duration::infinite() : Duration::ns(ns(rng) / (1 + rng() % 1000));
+      r.diverged = r.wcrt.is_infinite();
+      analysis.messages.push_back(r);
+      if (rng() % 4 == 0) continue;  // never completed in the simulation
+      MessageStats s;
+      s.name = r.name;
+      s.completions = 1 + static_cast<std::int64_t>(rng() % 100);
+      s.wcrt_observed = Duration::ns(ns(rng) / (1 + rng() % 1000));
+      sim.messages.push_back(s);
+    }
+    const BoundValidation v = compare_bound_vs_observed(analysis, sim);
+    ASSERT_EQ(validation_to_text(v), printf_validation_text(v)) << "report " << t;
+  }
+}
+
+TEST(ValidationText, LongNameKeepsWholeRow) {
+  // The printf layout cut rows at 255 bytes, dropping the verdict marker
+  // and the newline; every row must stay whole.
+  BusResult analysis;
+  MessageResult r;
+  r.name = std::string(300, 'n');
+  r.wcrt = Duration::us(10);
+  analysis.messages.push_back(r);
+  SimResult sim;
+  MessageStats s;
+  s.name = r.name;
+  s.completions = 1;
+  s.wcrt_observed = Duration::us(20);
+  sim.messages.push_back(s);
+
+  const std::string text = validation_to_text(compare_bound_vs_observed(analysis, sim));
+  const std::string tail = "    200.0%  <-- VIOLATION: sim exceeds analytic bound\n";
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  EXPECT_NE(text.find('\n' + r.name + "        10 us        20 us "), std::string::npos);
 }
 
 }  // namespace

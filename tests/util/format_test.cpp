@@ -121,7 +121,8 @@ TEST(FormatDuration, MillionSeededValuesMatchPrintf) {
   // Half the values have magnitudes spread evenly over 1..18 decimal
   // digits (nearly all need rounding); the other half are "round" values,
   // m * 10^k with m of up to seven digits, as bit-time multiples are, so
-  // both the exact and the rounding path are crossed at every unit.
+  // values exact in six digits and ones one digit past it are crossed at
+  // every unit.
   std::mt19937_64 rng{20060101};
   std::uniform_int_distribution<int> digits{0, 18};
   std::uniform_int_distribution<int> mantissa_digits{1, 7};
@@ -153,6 +154,28 @@ TEST(FormatDuration, ToStringAndStreamAreWrappers) {
   os.width(12);  // the stream honours field width as before
   os << d;
   EXPECT_EQ(os.str(), "   4.0468 ms");
+}
+
+TEST(FormatInteger, ExtremesAndSeededValuesMatchPrintf) {
+  const auto check = [](long long v) {
+    char ref[32];
+    std::snprintf(ref, sizeof ref, "%lld", v);
+    char buf[kIntegerChars];
+    ASSERT_EQ(std::string(buf, format_integer(buf, v)), ref) << v;
+    std::string appended = "x";
+    append_integer(appended, static_cast<std::int64_t>(v));
+    ASSERT_EQ(appended, std::string("x") + ref);
+  };
+  check(0);
+  check(-1);
+  check(std::numeric_limits<std::int64_t>::min());
+  check(std::numeric_limits<std::int64_t>::max());
+  char ref[32];
+  std::snprintf(ref, sizeof ref, "%zu", std::numeric_limits<std::size_t>::max());
+  char buf[kIntegerChars];
+  EXPECT_EQ(std::string(buf, format_integer(buf, std::numeric_limits<std::size_t>::max())), ref);
+  std::mt19937_64 rng{7};
+  for (int i = 0; i < 100'000; ++i) check(static_cast<long long>(rng()) >> (rng() % 64));
 }
 
 TEST(RenderAnalyze, IdsSpellAsPrintfHex) {
