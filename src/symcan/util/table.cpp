@@ -35,11 +35,6 @@ void TextTable::row(std::initializer_list<std::string_view> cells) { body_.add_r
 
 void TextTable::row(const std::vector<std::string>& cells) { body_.add_row(cells); }
 
-void TextTable::clear() {
-  header_.clear();
-  body_.clear();
-}
-
 void TextTable::append_to(std::string& out) const {
   // Column widths over the header and every row.
   std::vector<std::size_t> width;

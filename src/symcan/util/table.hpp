@@ -16,8 +16,7 @@ namespace symcan {
 /// Collects rows of string cells and prints them with aligned columns.
 ///
 /// Cells are copied into one flat arena (their text back to back in one
-/// string, plus end offsets), so adding a row allocates nothing once the
-/// arena has grown, and clear() keeps the capacity for the next table.
+/// string, plus end offsets), so a cell costs no allocation of its own.
 class TextTable {
  public:
   /// Set the header row. Resets any previously set header.
@@ -37,9 +36,6 @@ class TextTable {
   void print(std::ostream& os) const;
 
   std::size_t row_count() const { return body_.row_end.size(); }
-
-  /// Drop header and rows, keeping the arena's capacity.
-  void clear();
 
  private:
   /// Rows of cells in one arena: cell k is text[cell_end[k-1], cell_end[k]),
