@@ -346,6 +346,24 @@ TEST_F(GoldenTest, AnalyzeProbTable) {
   check_text("analyze_prob.txt", out_.str());
 }
 
+TEST_F(GoldenTest, OptimizeOutSummary) {
+  // With --out the optimized matrix goes to the file and stdout carries
+  // only the GA summary and the path; the golden spells the path @OUT@.
+  const std::string path = ::testing::TempDir() + "/symcan_golden_optimize.csv";
+  ASSERT_EQ(run({"optimize", matrix_, "--out", path}), 0) << err_.str();
+  std::string text = out_.str();
+  const std::size_t at = text.find(path);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, path.size(), "@OUT@");
+  check_text("optimize_out.txt", text);
+  std::remove(path.c_str());
+
+  // Without --out the same summary line heads the CSV on stdout.
+  ASSERT_EQ(run({"optimize", matrix_}), 0) << err_.str();
+  const std::string summary = text.substr(0, text.find('\n') + 1);
+  EXPECT_EQ(out_.str().substr(0, summary.size()), summary);
+}
+
 TEST_F(GoldenTest, ExplainText) {
   // M16 is the lowest-priority case-study message: richest interference
   // breakdown. Text derives from integer-exact analysis only, so it is
