@@ -88,18 +88,27 @@ int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
     }
     if (lines.empty() && eof) break;
 
+    // Every reply of the cycle goes into one block, written once: on a
+    // buffered stream a reply and its newline written apart can reach the
+    // client as two writes. Per cycle, so no capacity outlives a burst.
+    std::string replies;
+    const auto reply = [&replies](const ServeResponse& resp) {
+      replies += response_to_jsonl(resp);
+      replies += '\n';
+    };
+
     // Parse; answer malformed lines immediately, enqueue the rest.
     for (auto& [no, text, too_long] : lines) {
       Diagnostics diags{core.config().policy, "serve request"};
       if (too_long) {
         diags.error(no, "request line longer than the " + std::to_string(kMaxRequestLineBytes) +
                             "-byte limit; discarded through its newline");
-        out << response_to_jsonl(invalid_response("", diags)) << "\n";
+        reply(invalid_response("", diags));
         continue;
       }
       auto req = request_from_jsonl(text, no, diags);
       if (!req) {
-        out << response_to_jsonl(invalid_response("", diags)) << "\n";
+        reply(invalid_response("", diags));
         continue;
       }
       // submit() consumes the request, so remember what a rejection
@@ -119,7 +128,7 @@ int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
         d.line = 0;
         d.message = why;
         resp.diagnostics = {d};
-        out << response_to_jsonl(resp) << "\n";
+        reply(resp);
       };
       if (outcome == PushOutcome::kRejected)
         reject(req_id, req_kind, "request ring full (overflow policy: reject)");
@@ -133,8 +142,8 @@ int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
     // One pressure sample per cycle, then drain and answer the batch.
     core.captain().observe(core.ring().pressure());
     const std::vector<QueuedRequest> batch = core.take_batch();
-    for (const ServeResponse& resp : core.handle_batch(batch))
-      out << response_to_jsonl(resp) << "\n";
+    for (const ServeResponse& resp : core.handle_batch(batch)) reply(resp);
+    out.write(replies.data(), static_cast<std::streamsize>(replies.size()));
     out.flush();
 
     // Periodic Prometheus exposition: rewrite the scrape file once per

@@ -9,6 +9,15 @@
 #include "symcan/cli/commands.hpp"
 
 int main(int argc, char** argv) {
+  // Unsynchronized standard streams read and write through their own
+  // buffers. Synchronized ones go through C stdio a character at a time,
+  // taking the FILE lock per character once any thread exists: reading
+  // one ~5 KB `serve --stdio` request line took 70-101 us that way and
+  // 1.5 us unsynchronized. Nothing in symcan uses C stdio on stdin or
+  // stdout, and only the main thread touches std::cin/cout/cerr; keep it
+  // so, because unsynchronized standard streams are not safe for
+  // concurrent use.
+  std::ios_base::sync_with_stdio(false);
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc > 0 ? argc - 1 : 0));
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
