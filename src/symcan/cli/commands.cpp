@@ -240,8 +240,7 @@ int cmd_optimize(const Args& args, std::ostream& out) {
 
   if (output.empty()) return pipeline::render_optimize(km, spec, out);
   const pipeline::OptimizeOutcome o = pipeline::run_optimize(km, spec);
-  out << strprintf("GA: %d evaluations, best misses %.0f, robustness cost %.3f\n",
-                   o.result.evaluations, o.result.best.misses, o.result.best.robustness_cost);
+  out << pipeline::optimize_summary(o.result);
   save_kmatrix(o.optimized, output);
   out << "wrote optimized matrix to " << output << "\n";
   return o.result.best.misses == 0 ? 0 : 1;

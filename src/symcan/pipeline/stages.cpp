@@ -265,18 +265,21 @@ OptimizeOutcome run_optimize(const KMatrix& km, const OptimizeSpec& spec) {
   return {std::move(res), std::move(optimized)};
 }
 
+std::string optimize_summary(const GaResult& result) {
+  std::string text = "GA: ";
+  append_integer(text, result.evaluations);
+  text += " evaluations, best misses ";
+  append_fixed(text, result.best.misses, 0);
+  text += ", robustness cost ";
+  append_fixed(text, result.best.robustness_cost, 3);
+  text += '\n';
+  return text;
+}
+
 int render_optimize(const KMatrix& km, const OptimizeSpec& spec, std::ostream& out) {
   SYMCAN_OBS_SPAN("pipeline.optimize");
   const OptimizeOutcome o = run_optimize(km, spec);
-  std::string text = "GA: ";
-  append_integer(text, o.result.evaluations);
-  text += " evaluations, best misses ";
-  append_fixed(text, o.result.best.misses, 0);
-  text += ", robustness cost ";
-  append_fixed(text, o.result.best.robustness_cost, 3);
-  text += '\n';
-  flush(text, out);
-  out << kmatrix_to_csv(o.optimized);
+  out << optimize_summary(o.result) << kmatrix_to_csv(o.optimized);
   return o.result.best.misses == 0 ? 0 : 1;
 }
 

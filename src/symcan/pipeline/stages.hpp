@@ -142,6 +142,10 @@ struct OptimizeOutcome {
 /// Run the GA stage without rendering (the CLI --out path).
 OptimizeOutcome run_optimize(const KMatrix& km, const OptimizeSpec& spec);
 
+/// The GA summary line `symcan optimize` prints first, with or without
+/// --out, newline included.
+std::string optimize_summary(const GaResult& result);
+
 /// `symcan optimize` without --out: GA summary line plus the optimized
 /// matrix as CSV. Returns 0 when the best candidate has zero misses.
 int render_optimize(const KMatrix& km, const OptimizeSpec& spec, std::ostream& out);
