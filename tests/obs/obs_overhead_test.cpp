@@ -29,10 +29,26 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc{};
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer comes from
+// them): left to the runtime, they would hand out memory that the
+// replaced delete below then frees with std::free, which a sanitizer's
+// allocator reports as a mismatched pair.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace symcan::obs {
 namespace {
