@@ -66,13 +66,15 @@ TEST_P(SimVsRta, ObservedResponseNeverExceedsBound) {
 TEST_P(SimVsRta, ScheduleVerdictImpliesNoSimLoss) {
   // If the analysis declares every message schedulable under D = period,
   // the simulator must not observe buffer-overwrite losses (no instance
-  // can still be pending when the next arrives).
+  // can still be pending when the next arrives). The bus is loaded
+  // lighter than in the other oracles so the verdict holds on every grid
+  // point; a fixture that stops meeting it fails here instead of skipping.
   const OracleParam p = GetParam();
   PowertrainConfig wl;
   wl.seed = p.seed;
   wl.message_count = 24;
   wl.ecu_count = 4;
-  wl.target_utilization = 0.55;
+  wl.target_utilization = 0.35;
   KMatrix km = generate_powertrain(wl);
   assume_jitter_fraction(km, p.jitter_fraction, true);
 
@@ -81,7 +83,7 @@ TEST_P(SimVsRta, ScheduleVerdictImpliesNoSimLoss) {
   rta.deadline_override = DeadlinePolicy::kPeriod;
   if (p.errors) rta.errors = std::make_shared<SporadicErrors>(Duration::ms(40));
   const BusResult bound = CanRta{km, rta}.analyze();
-  if (!bound.all_schedulable()) GTEST_SKIP() << "analysis does not claim schedulability";
+  ASSERT_TRUE(bound.all_schedulable()) << "the fixture must be schedulable for this oracle";
 
   SimConfig sim;
   sim.duration = Duration::s(10);
