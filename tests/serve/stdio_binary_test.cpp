@@ -45,7 +45,7 @@ extern char** environ;
 namespace symcan::serve {
 namespace {
 
-/// One input line and how the in-process core answers it.
+/// One input line; an oversize one is answered without being parsed.
 struct Line {
   std::string text;
   bool oversize = false;

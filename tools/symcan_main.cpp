@@ -11,12 +11,13 @@
 int main(int argc, char** argv) {
   // Unsynchronized standard streams read and write through their own
   // buffers. Synchronized ones go through C stdio a character at a time,
-  // taking the FILE lock per character once any thread exists: reading
-  // one ~5 KB `serve --stdio` request line took 70-101 us that way and
-  // 1.5 us unsynchronized. Nothing in symcan uses C stdio on stdin or
-  // stdout, and only the main thread touches std::cin/cout/cerr; keep it
-  // so, because unsynchronized standard streams are not safe for
-  // concurrent use.
+  // taking the FILE lock per character once any thread exists. Reading
+  // one ~5 KB `serve --stdio` request line from a pipe took 83-89 us
+  // that way, 325-351 us once a thread existed, and 4-5 us
+  // unsynchronized (4-CPU Xeon host). Nothing in symcan uses C stdio on
+  // stdin or stdout, and only the main thread touches std::cin, cout and
+  // cerr; keep it so, because unsynchronized standard streams are not
+  // safe for concurrent use.
   std::ios_base::sync_with_stdio(false);
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc > 0 ? argc - 1 : 0));
