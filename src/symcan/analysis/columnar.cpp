@@ -319,7 +319,6 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorM
     }
     const Duration response = w + c_m - columnar_delta_min(q + 1, act_p, act_j, act_d);
     wcrt = max(wcrt, response);
-    if (w + c_m <= columnar_delta_min(q + 2, act_p, act_j, act_d)) break;
   }
   res.wcrt = wcrt;
   res.schedulable = !res.deadline.is_infinite() ? wcrt <= res.deadline : true;

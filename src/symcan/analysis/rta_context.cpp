@@ -403,13 +403,6 @@ MessageResult solve_message_impl(const MessageContext& ctx, Rec& rec) {
     const Duration response = w + c_m - em_m.delta_min(q + 1);
     rec.instance_result(q, w, response);
     wcrt = max(wcrt, response);
-    // Early exit: once the busy period drains before the next arrival,
-    // later instances cannot be worse.
-    if (w + c_m <= em_m.delta_min(q + 2)) {
-      // Remaining instances start in an idle bus: response == blocking
-      // path already covered by q = 0 shape; safe to stop.
-      break;
-    }
   }
   res.wcrt = wcrt;
   res.schedulable = !res.deadline.is_infinite() ? wcrt <= res.deadline : true;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "davis2007.hpp"
 #include "symcan/analysis/presets.hpp"
+#include "symcan/analysis/provenance.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
@@ -188,6 +191,49 @@ TEST(CanRta, BurstyActivationMultipliesInterference) {
   const MessageResult m3 = CanRta{km, plain_config()}.analyze_message(2);
   // At least 3 extra m1 frames compared to the jitter-free case (810 us).
   EXPECT_GE(m3.wcrt, Duration::us(810) + 2 * Duration::us(270));
+}
+
+TEST(CanRta, Davis2007SecondInstanceIsCritical) {
+  // Hand-computed from the Davis et al. 2007 equations (C = 1.08 ms,
+  // tau_bit = 8 us, no blocking below the lowest-priority message):
+  //   busy period 1.08 -> 3.24 -> 4.32 -> 6.48 -> 7.56 ms (5 iterations),
+  //   Q = ceil(7.56 / 3.78) = 2 instances;
+  //   q=0: w 0 -> 2.16 ms (2 iterations), R = 2.16 + 1.08 = 3.24 ms;
+  //   q=1: w 1.08 -> 3.24 -> 4.32 -> 5.40 -> 6.48 ms (5 iterations),
+  //        R = 6.48 + 1.08 - 3.78 = 3.78 ms.
+  // Stopping after q=0 because w + C <= T_C (the pre-2007 shortcut)
+  // would report 3.24 ms, below what the schedule produces.
+  const KMatrix km = testing_support::davis2007_bus();
+  const MessageResult c = CanRta{km, CanRtaConfig{}}.analyze_message(2);
+  EXPECT_EQ(c.busy_period, Duration::us(7560));
+  EXPECT_EQ(c.instances, 2);
+  EXPECT_EQ(c.wcrt, Duration::us(3780));
+  EXPECT_EQ(c.fixedpoint_iterations, 12);
+  EXPECT_EQ(c.blocking, Duration::zero());
+  EXPECT_TRUE(c.schedulable);  // R = D exactly
+
+  const analysis::Provenance p = analysis::explain_message(km, CanRtaConfig{}, 2);
+  EXPECT_EQ(p.critical_instance, 1);
+  EXPECT_EQ(p.critical_window, Duration::us(6480));
+  EXPECT_EQ(p.result.wcrt, Duration::us(3780));
+  EXPECT_TRUE(p.sum_check());
+  EXPECT_EQ(p.busy_iterates, (std::vector<Duration>{Duration::us(1080), Duration::us(3240),
+                                                    Duration::us(4320), Duration::us(6480),
+                                                    Duration::us(7560)}));
+  EXPECT_EQ(p.window_iterates,
+            (std::vector<Duration>{Duration::us(1080), Duration::us(3240), Duration::us(4320),
+                                   Duration::us(5400), Duration::us(6480)}));
+}
+
+TEST(CanRta, Davis2007TightDeadlineIsAMiss) {
+  // With D_C = 3.5 ms the first instance meets it with 260 us to spare,
+  // but the second misses by 280 us: the verdict must be a miss.
+  KMatrix km = testing_support::davis2007_bus();
+  km.messages()[2].deadline_policy = DeadlinePolicy::kExplicit;
+  km.messages()[2].explicit_deadline = Duration::us(3500);
+  const MessageResult c = CanRta{km, CanRtaConfig{}}.analyze_message(2);
+  EXPECT_FALSE(c.schedulable);
+  EXPECT_EQ(c.slack(), Duration::us(-280));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../analysis/davis2007.hpp"
 #include "symcan/analysis/can_rta.hpp"
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/sim/simulator.hpp"
@@ -150,6 +151,27 @@ TEST_P(SimVsRta, CachedAnalysisBoundsSimulationUnderSporadicErrors) {
         << km.messages()[i].name << ": observed " << to_string(observed.messages[i].wcrt_observed)
         << " vs cached bound " << to_string(warm.messages[i].wcrt);
   }
+}
+
+TEST(SimVsRtaRefutation, Davis2007BoundCoversSynchronousRelease) {
+  // Synchronous release of the Davis et al. 2007 bus: A, B and C all at
+  // t = 0, worst-case stuffing, no jitter. C's second instance waits for
+  // B and then for A's third frame, responding after 3.78 ms — the value
+  // the analysis must bound (the pre-2007 shortcut claimed 3.24 ms).
+  KMatrix km = testing_support::davis2007_bus();
+  for (auto& m : km.messages()) m.tt_offset = Duration::zero();
+  const BusResult bound = CanRta{km, CanRtaConfig{}}.analyze();
+
+  SimConfig sim;
+  sim.duration = Duration::ms(200);
+  sim.stuffing = StuffingMode::kWorstCase;
+  sim.randomize_jitter = false;
+  const SimResult observed = simulate(km, sim);
+  ASSERT_EQ(observed.messages.size(), 3u);
+  EXPECT_EQ(observed.messages[2].wcrt_observed, Duration::us(3780));
+  for (std::size_t i = 0; i < km.size(); ++i)
+    EXPECT_GE(bound.messages[i].wcrt, observed.messages[i].wcrt_observed)
+        << km.messages()[i].name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
