@@ -1,21 +1,25 @@
-// Layout-differential battery for the columnar solve core: the packed
-// structure-of-arrays path must reproduce the legacy object-graph path
-// bit for bit, in integer nanoseconds, across every assumption preset
-// and a spread of seeded workloads. A columnar refactor can only go
-// wrong silently — by reordering a summation, dropping a normalization,
-// or resolving an interference set differently — and every one of those
-// shows up here as a field-level mismatch naming the seed, preset and
-// message.
+// Reference-differential battery for the busy-period core: every
+// production entry point must reproduce the naive per-message reference
+// (reference_rta.hpp) bit for bit, in integer nanoseconds, across every
+// assumption preset and a spread of seeded workloads. The core can only
+// go wrong silently — by resolving an interference set differently,
+// dropping a normalization or stopping the instance loop early — and
+// every one of those shows up here as a field-level mismatch naming the
+// seed, preset and message.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "reference_rta.hpp"
 #include "symcan/analysis/can_rta.hpp"
 #include "symcan/analysis/columnar.hpp"
 #include "symcan/analysis/ecu_rta.hpp"
+#include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/analysis/presets.hpp"
 #include "symcan/analysis/provenance.hpp"
 #include "symcan/analysis/rta_context.hpp"
@@ -31,7 +35,7 @@ struct Preset {
 
 /// The five canonical assumption presets: the two Figure 5 framings, the
 /// default, and the two single-switch ablations (offset-blind, fullCAN
-/// queues) that flip which pack-time branches run.
+/// queues) that flip which resolution branches run.
 std::vector<Preset> presets() {
   std::vector<Preset> out;
   out.push_back({"default", CanRtaConfig{}});
@@ -46,9 +50,9 @@ std::vector<Preset> presets() {
   return out;
 }
 
-/// Twenty seeded matrices spanning the workload axes the pack branches
-/// on: basicCAN senders (intra-node blocking), TimeTable offsets with
-/// grid-snapped periods (bounded hyperperiods -> TtGroups built) and
+/// Twenty seeded matrices spanning the workload axes the resolution
+/// branches on: basicCAN senders (intra-node blocking), TimeTable offsets
+/// with grid-snapped periods (bounded hyperperiods -> TtGroups built) and
 /// with raw periods (unbounded -> offset-blind fallback), jitter bursts,
 /// and utilizations up to divergence under the burst error model.
 std::vector<KMatrix> seeded_matrices() {
@@ -74,19 +78,19 @@ std::vector<KMatrix> seeded_matrices() {
   return out;
 }
 
-void expect_result_eq(const MessageResult& legacy, const MessageResult& columnar,
+void expect_result_eq(const MessageResult& ref, const MessageResult& got,
                       const std::string& where) {
-  EXPECT_EQ(legacy.name, columnar.name) << where;
-  EXPECT_EQ(legacy.id, columnar.id) << where;
-  EXPECT_EQ(legacy.wcrt.count_ns(), columnar.wcrt.count_ns()) << where;
-  EXPECT_EQ(legacy.bcrt.count_ns(), columnar.bcrt.count_ns()) << where;
-  EXPECT_EQ(legacy.deadline.count_ns(), columnar.deadline.count_ns()) << where;
-  EXPECT_EQ(legacy.blocking.count_ns(), columnar.blocking.count_ns()) << where;
-  EXPECT_EQ(legacy.busy_period.count_ns(), columnar.busy_period.count_ns()) << where;
-  EXPECT_EQ(legacy.instances, columnar.instances) << where;
-  EXPECT_EQ(legacy.fixedpoint_iterations, columnar.fixedpoint_iterations) << where;
-  EXPECT_EQ(legacy.schedulable, columnar.schedulable) << where;
-  EXPECT_EQ(legacy.diverged, columnar.diverged) << where;
+  EXPECT_EQ(ref.name, got.name) << where;
+  EXPECT_EQ(ref.id, got.id) << where;
+  EXPECT_EQ(ref.wcrt.count_ns(), got.wcrt.count_ns()) << where;
+  EXPECT_EQ(ref.bcrt.count_ns(), got.bcrt.count_ns()) << where;
+  EXPECT_EQ(ref.deadline.count_ns(), got.deadline.count_ns()) << where;
+  EXPECT_EQ(ref.blocking.count_ns(), got.blocking.count_ns()) << where;
+  EXPECT_EQ(ref.busy_period.count_ns(), got.busy_period.count_ns()) << where;
+  EXPECT_EQ(ref.instances, got.instances) << where;
+  EXPECT_EQ(ref.fixedpoint_iterations, got.fixedpoint_iterations) << where;
+  EXPECT_EQ(ref.schedulable, got.schedulable) << where;
+  EXPECT_EQ(ref.diverged, got.diverged) << where;
 }
 
 /// solve_columnar() + the caller-side identity patch, as the analyzers
@@ -99,25 +103,33 @@ MessageResult columnar_message(const analysis::ColumnarBus& bus, const KMatrix& 
   return r;
 }
 
+std::string where(std::size_t matrix, const Preset& p, const KMatrix& km, std::size_t i) {
+  return "seed matrix #" + std::to_string(matrix) + " preset " + p.name + " message " +
+         km.messages()[i].name;
+}
+
 TEST(ColumnarDifferential, MessagesBitIdenticalAcrossSeedsAndPresets) {
+  // Every per-message entry point against the reference: the packed
+  // whole-bus path, the one-row context path, and the verdict explain
+  // embeds.
   const auto matrices = seeded_matrices();
-  const auto ps = presets();
   std::size_t diverged_seen = 0;
   std::size_t groups_seen = 0;
   for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
     const KMatrix& km = matrices[mi];
-    for (const Preset& p : ps) {
+    for (const Preset& p : presets()) {
       const analysis::ColumnarBus bus = analysis::pack_bus(km, p.cfg);
       ASSERT_EQ(bus.size(), km.size());
       groups_seen += bus.tt_groups.size();
       for (std::size_t i = 0; i < km.size(); ++i) {
-        const MessageResult legacy =
-            analysis::solve_message(analysis::build_message_context(km, p.cfg, i));
-        const MessageResult col = columnar_message(bus, km, i);
-        diverged_seen += legacy.diverged ? 1 : 0;
-        expect_result_eq(legacy, col,
-                         "seed matrix #" + std::to_string(mi) + " preset " + p.name +
-                             " message " + km.messages()[i].name);
+        const MessageResult ref = reference::analyze_message(km, p.cfg, i);
+        diverged_seen += ref.diverged ? 1 : 0;
+        const std::string at = where(mi, p, km, i);
+        expect_result_eq(ref, columnar_message(bus, km, i), "pack_bus " + at);
+        expect_result_eq(
+            ref, analysis::solve_message(analysis::build_message_context(km, p.cfg, i)),
+            "build_message_context " + at);
+        expect_result_eq(ref, analysis::explain_message(km, p.cfg, i).result, "explain " + at);
       }
     }
   }
@@ -127,9 +139,87 @@ TEST(ColumnarDifferential, MessagesBitIdenticalAcrossSeedsAndPresets) {
   SUCCEED() << "diverged verdicts covered: " << diverged_seen;
 }
 
+TEST(ColumnarDifferential, DivergedVerdictsMatchReference) {
+  // The seeded battery rarely diverges, so an overloaded bus covers the
+  // divergence exits: halving every period of a 70 % bus loads it to
+  // ~140 %, and the lower-priority busy periods pass the horizon.
+  PowertrainConfig wcfg;
+  wcfg.seed = 4;
+  wcfg.message_count = 24;
+  wcfg.target_utilization = 0.7;
+  KMatrix km = generate_powertrain(wcfg);
+  for (auto& m : km.messages()) m.period = m.period / 2;
+  std::size_t diverged = 0;
+  for (Preset p : presets()) {
+    p.cfg.horizon = Duration::ms(100);
+    const analysis::ColumnarBus bus = analysis::pack_bus(km, p.cfg);
+    for (std::size_t i = 0; i < km.size(); ++i) {
+      const MessageResult ref = reference::analyze_message(km, p.cfg, i);
+      diverged += ref.diverged ? 1 : 0;
+      const std::string at = where(0, p, km, i);
+      expect_result_eq(ref, columnar_message(bus, km, i), "pack_bus " + at);
+      expect_result_eq(
+          ref, analysis::solve_message(analysis::build_message_context(km, p.cfg, i)),
+          "build_message_context " + at);
+      expect_result_eq(ref, analysis::explain_message(km, p.cfg, i).result, "explain " + at);
+    }
+  }
+  EXPECT_GT(diverged, 0u);
+}
+
+TEST(ColumnarDifferential, IncrementalColdAndWarmMatchReference) {
+  // The cached analyzer: a cold run (one-row solves for the first
+  // misses, then one whole-bus pack) and a warm run answered from the
+  // cache, both against the reference.
+  const auto matrices = seeded_matrices();
+  for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
+    const KMatrix& km = matrices[mi];
+    for (const Preset& p : presets()) {
+      analysis::IncrementalRta rta;
+      const BusResult cold = rta.analyze(km, p.cfg);
+      const BusResult warm = rta.analyze(km, p.cfg);
+      ASSERT_EQ(cold.messages.size(), km.size());
+      ASSERT_EQ(warm.messages.size(), km.size());
+      for (std::size_t i = 0; i < km.size(); ++i) {
+        const MessageResult ref = reference::analyze_message(km, p.cfg, i);
+        expect_result_eq(ref, cold.messages[i], "cold " + where(mi, p, km, i));
+        expect_result_eq(ref, warm.messages[i], "warm " + where(mi, p, km, i));
+      }
+      EXPECT_EQ(rta.stats().lookups(), static_cast<std::int64_t>(2 * km.size()));
+    }
+  }
+}
+
+TEST(ColumnarDifferential, EqualKeysHaveEqualReferenceVerdicts) {
+  // The cache key must cover everything the verdict depends on: across
+  // the whole battery, two messages sharing a fingerprint get the same
+  // reference verdict (identity aside). Presets change the key through
+  // the config switches and the error model, so sharing happens within a
+  // preset — most often between structurally equal messages.
+  std::map<std::tuple<std::uint64_t, std::uint64_t>, MessageResult> seen;
+  std::size_t shared = 0;
+  const auto matrices = seeded_matrices();
+  for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
+    const KMatrix& km = matrices[mi];
+    for (const Preset& p : presets()) {
+      const std::vector<analysis::ContextKey> keys = analysis::bus_fingerprints(km, p.cfg);
+      for (std::size_t i = 0; i < km.size(); ++i) {
+        MessageResult ref = reference::analyze_message(km, p.cfg, i);
+        ref.name.clear();
+        ref.id = 0;
+        const auto [it, fresh] = seen.emplace(std::make_tuple(keys[i].a, keys[i].b), ref);
+        if (fresh) continue;
+        ++shared;
+        expect_result_eq(it->second, ref, "shared key at " + where(mi, p, km, i));
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u);
+}
+
 TEST(ColumnarDifferential, PublicAnalyzeMatchesPerMessageAdapter) {
-  // CanRta::analyze() runs the columnar path; analyze_message() stays on
-  // build+solve. The whole-bus result must equal the per-message loop.
+  // CanRta::analyze() (whole-bus pack) and analyze_message() (one-row
+  // context) against the reference.
   for (std::uint64_t seed : {3u, 8u, 15u}) {
     PowertrainConfig wcfg;
     wcfg.seed = seed;
@@ -143,18 +233,21 @@ TEST(ColumnarDifferential, PublicAnalyzeMatchesPerMessageAdapter) {
       const CanRta rta{km, p.cfg};
       const BusResult whole = rta.analyze();
       ASSERT_EQ(whole.messages.size(), km.size());
-      for (std::size_t i = 0; i < km.size(); ++i)
-        expect_result_eq(rta.analyze_message(i), whole.messages[i],
-                         "seed " + std::to_string(seed) + " preset " + p.name + " message " +
-                             km.messages()[i].name);
+      for (std::size_t i = 0; i < km.size(); ++i) {
+        const std::string at = "seed " + std::to_string(seed) + " preset " + p.name +
+                               " message " + km.messages()[i].name;
+        const MessageResult ref = reference::analyze_message(km, p.cfg, i);
+        expect_result_eq(ref, whole.messages[i], "analyze " + at);
+        expect_result_eq(ref, rta.analyze_message(i), "analyze_message " + at);
+      }
     }
   }
 }
 
 TEST(ColumnarDifferential, ExplainStillResumsExactly) {
-  // Provenance runs the legacy tracing solver; its embedded verdict must
-  // equal the columnar verdict bit for bit and the decomposition must
-  // still re-sum to the bound.
+  // Provenance runs the traced solve; its embedded verdict must equal
+  // the reference bit for bit and the decomposition must still re-sum to
+  // the bound.
   PowertrainConfig wcfg;
   wcfg.seed = 7;
   wcfg.message_count = 24;
@@ -162,12 +255,11 @@ TEST(ColumnarDifferential, ExplainStillResumsExactly) {
   snap_periods(km, Duration::ms(5));
   assign_tt_offsets(km);
   for (const Preset& p : presets()) {
-    const analysis::ColumnarBus bus = analysis::pack_bus(km, p.cfg);
     for (std::size_t i = 0; i < km.size(); ++i) {
       const analysis::Provenance prov = analysis::explain_message(km, p.cfg, i);
       EXPECT_TRUE(prov.sum_check())
           << "preset " << p.name << " message " << km.messages()[i].name;
-      expect_result_eq(prov.result, columnar_message(bus, km, i),
+      expect_result_eq(reference::analyze_message(km, p.cfg, i), prov.result,
                        std::string{"explain preset "} + p.name + " message " +
                            km.messages()[i].name);
     }
@@ -176,7 +268,7 @@ TEST(ColumnarDifferential, ExplainStillResumsExactly) {
 
 TEST(ColumnarDifferential, PerCallErrorModelOverloadMatchesRepack) {
   // The grid-sweep overload swaps the error model per solve; it must
-  // equal a full repack with that model in the config.
+  // equal the reference under that model, as a full repack does.
   PowertrainConfig wcfg;
   wcfg.seed = 11;
   wcfg.message_count = 24;
@@ -189,10 +281,13 @@ TEST(ColumnarDifferential, PerCallErrorModelOverloadMatchesRepack) {
     swapped.errors = std::make_shared<SporadicErrors>(gap);
     const analysis::ColumnarBus repacked = analysis::pack_bus(km, swapped);
     for (std::size_t i = 0; i < km.size(); ++i) {
-      const MessageResult a = analysis::solve_columnar(bus, i, errors);
-      const MessageResult b = analysis::solve_columnar(repacked, i);
-      expect_result_eq(a, b, "gap " + std::to_string(gap.count_ns()) + "ns message " +
-                                 km.messages()[i].name);
+      const std::string at =
+          "gap " + std::to_string(gap.count_ns()) + "ns message " + km.messages()[i].name;
+      MessageResult ref = reference::analyze_message(km, base, i, errors);
+      ref.name.clear();
+      ref.id = 0;
+      expect_result_eq(ref, analysis::solve_columnar(bus, i, errors), "per-call " + at);
+      expect_result_eq(ref, analysis::solve_columnar(repacked, i), "repacked " + at);
     }
   }
 }

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "reference_rta.hpp"
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/analysis/presets.hpp"
 #include "symcan/analysis/rta_context.hpp"
@@ -117,21 +119,30 @@ TEST_P(IncrementalRtaConfigs, ColdAndWarmRunsMatchFreshAnalysisBitExactly) {
 }
 
 TEST_P(IncrementalRtaConfigs, FingerprintEntryPointsAgree) {
-  // The cheap lookup paths (single-message pass, whole-bus batch pass)
-  // must produce exactly the key the context-based fingerprint defines —
-  // otherwise hits and misses would depend on which entry point filled
-  // the cache.
+  // The single-message and whole-bus lookup paths must produce the same
+  // key — otherwise hits and misses would depend on which entry point
+  // filled the cache — and a shared key must mean a shared verdict: two
+  // messages with equal keys get equal reference verdicts.
   const KMatrix km = matrix();
   const CanRtaConfig cfg = config();
   const std::vector<analysis::ContextKey> batch = analysis::bus_fingerprints(km, cfg);
   ASSERT_EQ(batch.size(), km.size());
+  std::unordered_map<analysis::ContextKey, MessageResult, analysis::ContextKeyHash> verdicts;
   for (std::size_t i = 0; i < km.size(); ++i) {
     SCOPED_TRACE(km.messages()[i].name);
-    const analysis::ContextKey from_ctx =
-        analysis::context_fingerprint(analysis::build_message_context(km, cfg, i), cfg);
-    const analysis::ContextKey direct = analysis::message_fingerprint(km, cfg, i);
-    EXPECT_EQ(from_ctx, direct);
-    EXPECT_EQ(from_ctx, batch[i]);
+    EXPECT_EQ(analysis::message_fingerprint(km, cfg, i), batch[i]);
+    const MessageResult ref = reference::analyze_message(km, cfg, i);
+    const auto [it, fresh] = verdicts.emplace(batch[i], ref);
+    if (fresh) continue;
+    EXPECT_EQ(it->second.wcrt, ref.wcrt);
+    EXPECT_EQ(it->second.bcrt, ref.bcrt);
+    EXPECT_EQ(it->second.deadline, ref.deadline);
+    EXPECT_EQ(it->second.blocking, ref.blocking);
+    EXPECT_EQ(it->second.busy_period, ref.busy_period);
+    EXPECT_EQ(it->second.instances, ref.instances);
+    EXPECT_EQ(it->second.fixedpoint_iterations, ref.fixedpoint_iterations);
+    EXPECT_EQ(it->second.schedulable, ref.schedulable);
+    EXPECT_EQ(it->second.diverged, ref.diverged);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "symcan/analysis/can_rta.hpp"
+#include "reference_rta.hpp"
 #include "symcan/analysis/columnar.hpp"
 #include "symcan/analysis/prob_rta.hpp"
 #include "symcan/analysis/rta_context.hpp"
@@ -90,25 +91,34 @@ void require_packed_layout(const analysis::ColumnarBus& bus, std::size_t n) {
           "hp lanes have diverging lengths");
 }
 
-/// Bit-exactness of the columnar core against the object-graph solver,
-/// per message and per field, on an accepted matrix under one config.
+/// One production verdict against the reference, per field.
+void require_reference_verdict(const MessageResult& got, const MessageResult& ref,
+                               const std::string& who) {
+  require(got.wcrt == ref.wcrt, who + "wcrt diverged from the reference");
+  require(got.bcrt == ref.bcrt, who + "bcrt diverged from the reference");
+  require(got.deadline == ref.deadline, who + "deadline diverged from the reference");
+  require(got.blocking == ref.blocking, who + "blocking diverged from the reference");
+  require(got.busy_period == ref.busy_period, who + "busy period diverged from the reference");
+  require(got.instances == ref.instances, who + "instance count diverged from the reference");
+  require(got.fixedpoint_iterations == ref.fixedpoint_iterations,
+          who + "iteration count diverged from the reference");
+  require(got.schedulable == ref.schedulable, who + "schedulability diverged from the reference");
+  require(got.diverged == ref.diverged, who + "divergence flag diverged from the reference");
+}
+
+/// Bit-exactness of the packed core and the one-row context path against
+/// the naive reference analysis, per message and per field, on an
+/// accepted matrix under one config.
 void require_columnar_differential(const KMatrix& km, const CanRtaConfig& cfg) {
   const analysis::ColumnarBus bus = analysis::pack_bus(km, cfg);
   require_packed_layout(bus, km.size());
   for (std::size_t i = 0; i < km.size(); ++i) {
-    const MessageResult ref = analysis::solve_message(analysis::build_message_context(km, cfg, i));
-    const MessageResult col = analysis::solve_columnar(bus, i);
-    const std::string who = "message " + km.messages()[i].name + ": columnar ";
-    require(col.wcrt == ref.wcrt, who + "wcrt diverged from legacy");
-    require(col.bcrt == ref.bcrt, who + "bcrt diverged from legacy");
-    require(col.deadline == ref.deadline, who + "deadline diverged from legacy");
-    require(col.blocking == ref.blocking, who + "blocking diverged from legacy");
-    require(col.busy_period == ref.busy_period, who + "busy period diverged from legacy");
-    require(col.instances == ref.instances, who + "instance count diverged from legacy");
-    require(col.fixedpoint_iterations == ref.fixedpoint_iterations,
-            who + "iteration count diverged from legacy");
-    require(col.schedulable == ref.schedulable, who + "schedulability diverged from legacy");
-    require(col.diverged == ref.diverged, who + "divergence flag diverged from legacy");
+    const MessageResult ref = reference::analyze_message(km, cfg, i);
+    const std::string who = "message " + km.messages()[i].name + ": ";
+    require_reference_verdict(analysis::solve_columnar(bus, i), ref, who + "columnar ");
+    require_reference_verdict(
+        analysis::solve_message(analysis::build_message_context(km, cfg, i)), ref,
+        who + "context ");
   }
 }
 
@@ -154,7 +164,7 @@ void check_columnar_pack(std::string_view data) {
   require_consistent(km, lenient);
   if (!km) return;  // malformed input diagnosed — that's a pass
   // Same harness bounds as require_bounded_rta: the differential runs
-  // 2 x n legacy solves, so hostile periods would make it unbounded.
+  // 3 x n solves per config, so hostile periods would make it unbounded.
   if (km->size() > 64) return;
   for (const auto& m : km->messages())
     if (m.period < Duration::us(100)) return;

@@ -76,10 +76,11 @@ void check_serve_line_reader(std::string_view data);
 /// Feed one K-Matrix CSV document through kmatrix_from_csv, then pack an
 /// accepted matrix into the columnar solve core and hold it to the
 /// layout contract: the CSR structure is well formed (monotonic index
-/// rows, equal-length columns) and solve_columnar() is bit-identical to
-/// solve_message(build_message_context()) in every field — iteration
+/// rows, equal-length columns), and solve_columnar() and
+/// solve_message(build_message_context()) both equal the naive reference
+/// analysis (tests/analysis/reference_rta.hpp) in every field — iteration
 /// counts included — under both the default and an inverted assumption
-/// set. The fuzzed extension of the layout-differential battery: the
+/// set. The fuzzed extension of the reference-differential battery: the
 /// seeded tests pin equality on matrices we thought of, this pins it on
 /// matrices nobody did. Uses the same size/period bounds as the RTA
 /// check so the fixed point stays harness-sized.
