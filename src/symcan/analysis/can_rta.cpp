@@ -45,9 +45,8 @@ CanRta::CanRta(KMatrix km, CanRtaConfig cfg) : km_{std::move(km)}, cfg_{std::mov
 }
 
 MessageResult CanRta::analyze_message(std::size_t index) const {
-  // The two halves of the shared busy-period core (rta_context.hpp):
-  // resolve the message's interference context, then run the fixed point
-  // on it. IncrementalRta memoizes between exactly these two calls.
+  // Resolve the message into one packed row, then run the fixed point on
+  // it (rta_context.hpp). IncrementalRta memoizes between these two calls.
   return analysis::solve_message(analysis::build_message_context(km_, cfg_, index));
 }
 
@@ -55,20 +54,7 @@ BusResult CanRta::analyze() const {
   SYMCAN_OBS_SPAN("rta.can.analyze");
   BusResult out;
   out.utilization = km_.utilization(cfg_.worst_case_stuffing);
-  out.messages.reserve(km_.size());
-  // Columnar whole-bus path: one pack resolves every context, then each
-  // solve runs allocation-free over the shared columns. Bit-identical to
-  // the per-message analyze_message() loop (the layout-differential
-  // suite pins this). The pack arena is thread-local so repeated
-  // analyses reuse its capacity.
-  static thread_local analysis::ColumnarBus bus;
-  analysis::pack_bus(km_, cfg_, bus);
-  for (std::size_t i = 0; i < km_.size(); ++i) {
-    MessageResult r = analysis::solve_columnar(bus, i);
-    r.name = km_.messages()[i].name;
-    r.id = km_.messages()[i].id;
-    out.messages.push_back(std::move(r));
-  }
+  out.messages = analysis::solve_bus(km_, cfg_);
   flush_rta_observations(out);
   return out;
 }

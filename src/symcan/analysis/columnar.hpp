@@ -1,51 +1,43 @@
 #pragma once
 
-// Columnar (structure-of-arrays) form of the busy-period solve core.
+// The busy-period core of the CAN response-time analysis: one resolver,
+// one packed layout, one fixed point.
 //
-// build_message_context() + solve_message() resolve and solve one message
-// at a time through an object graph: a MessageContext owns its own hp
-// vector, its own offset-group member lists and its own strings, so every
-// solve on the hot path (GA fitness grids, sweeps, `symcan serve`) pays a
-// dozen allocations before the fixed point even starts. pack_bus()
-// instead resolves a *whole* K-Matrix + config into contiguous columns in
-// one pass:
+// pack_bus() resolves a whole K-Matrix + config into contiguous columns
+// in one pass:
 //
 //   * per-message scalars (cost, bcrt, deadline, blocking, max_retx) and
 //     the activation event-model parameters as parallel arrays;
 //   * the higher-priority interference sets as one shared CSR block
 //     (hp_begin[i] .. hp_begin[i+1]) of (period, jitter, dmin, cost)
 //     columns;
-//   * the offset groups pre-built into TtGroups (CSR again), with the
-//     groups whose hyperperiod is unbounded already expanded into their
-//     offset-blind fallback entries at the tail of the hp rows.
+//   * the offset groups pre-built into TtGroups (CSR again); a group whose
+//     hyperperiod is unbounded is expanded into its offset-blind fallback
+//     entries at the tail of the hp rows instead.
 //
-// solve_columnar() then runs the identical Davis/Tindell fixed point over
-// the columns with zero heap traffic per solve. Bit-exactness contract:
-// for every message i,
+// Every row comes from the same row resolver that build_message_context()
+// (one packed row plus labels) and the cache fingerprints
+// (rta_context.hpp) run, so all of them agree on the effective priority
+// level, the blocking terms, the largest retransmittable frame, the
+// interference predicate and the offset groups by construction.
 //
-//   solve_columnar(pack_bus(km, cfg), i)  ==  solve_message(
-//       build_message_context(km, cfg, i))
-//
-// in every field, iteration counts included (the name/id identity is
-// patched by the caller; it never reaches the solver). This holds because
-// the pack resolves exactly the values build_message_context() resolves,
-// in exactly the legacy summation order: the hp rows are canonically
-// sorted (period, jitter, min distance, cost) with group-build-fallback
-// members appended after, groups are built from canonically sorted member
-// lists in canonical group order, and every eta+/delta_min evaluation
-// replicates EventModel verbatim on normalized parameters. All sums are
-// saturating integer arithmetic over non-negative terms, so the layout
-// change cannot even in principle introduce rounding drift — the
-// layout-differential suite (tests/analysis/columnar_differential_test
-// .cpp) pins the equality across assumption presets and seeded matrices
-// anyway.
+// solve_columnar() runs the Davis/Tindell fixed point over the columns
+// with zero heap traffic per solve, examining every instance of the
+// level-m busy period (Davis, Burns, Bril & Lukkien, RTS 35, 2007). The
+// solve loop is templated on a recorder: the plain overloads inline a
+// null recorder away, the SolveTrace overload records the trajectory
+// `symcan explain` renders — the same code path, so an explained verdict
+// *is* the verdict. The order of hp rows and groups never matters: every
+// sum is saturating integer arithmetic over non-negative terms. The
+// contract is equality with a deliberately naive per-message reference
+// (tests/analysis/reference_rta.hpp) in every field, iteration counts
+// included, pinned across assumption presets, seeded matrices and fuzzed
+// inputs.
 //
 // Arena lifetime: a ColumnarBus is a bundle of vectors that only ever
 // grow; pack_bus() into an existing instance clear()s and refills them,
-// reusing capacity. Hot loops keep one thread_local instance per worker
-// (IncrementalRta::analyze() packs lazily on the first cache miss), so
-// steady-state re-analysis performs no allocation at all — the arena the
-// per-solve scratch lives in is the packed bus itself.
+// reusing capacity. Hot loops keep one thread_local instance per worker,
+// so steady-state re-analysis performs no allocation in the solve.
 
 #include <algorithm>
 #include <cstddef>
@@ -107,10 +99,8 @@ struct ColumnarBus {
 
   /// Higher-priority interference CSR: message i's entries occupy
   /// [hp_begin[i], hp_begin[i+1]) of the four column arrays — the
-  /// canonically sorted event-model interferers first, then the
-  /// offset-blind fallbacks of any group whose hyperperiod was
-  /// unbounded (in canonical group/member order, matching the legacy
-  /// solver's append order).
+  /// event-model interferers first, then the offset-blind fallbacks of
+  /// any group whose hyperperiod was unbounded.
   std::vector<std::size_t> hp_begin;
   std::vector<Duration> hp_period;
   std::vector<Duration> hp_jitter;
@@ -118,9 +108,9 @@ struct ColumnarBus {
   std::vector<Duration> hp_cost;
 
   /// Pre-built offset groups CSR: message i's groups occupy
-  /// [tt_begin[i], tt_begin[i+1]) of tt_groups, in canonical group
-  /// order. Building happens once per pack instead of once per solve —
-  /// TtGroup::interference() is const and safe to share.
+  /// [tt_begin[i], tt_begin[i+1]) of tt_groups. Building happens once per
+  /// pack instead of once per solve — TtGroup::interference() is const
+  /// and safe to share.
   std::vector<std::size_t> tt_begin;
   std::vector<TtGroup> tt_groups;
 
@@ -131,8 +121,8 @@ struct ColumnarBus {
 };
 
 /// Resolve every message of `km` under `cfg` into `out`, reusing its
-/// capacity. Mirrors build_message_context() for all indices at once in
-/// one O(n^2) pass (the same asymptotics one legacy context build pays).
+/// capacity. The hp rows are emitted in one canonical order (period,
+/// jitter, min distance, cost), established by one sort of the bus.
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out);
 
 /// Convenience: pack into a fresh instance.
@@ -144,10 +134,30 @@ ColumnarBus pack_bus(const KMatrix& km, const CanRtaConfig& cfg);
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i);
 
 /// Same solve with the error model replaced per call — the grid-sweep
-/// path, where only the fault assumption varies between points and the
-/// packed columns stay valid (the error model enters the solver solely
-/// through its overhead term).
+/// path and the probabilistic rungs, where only the fault assumption
+/// varies and the packed columns stay valid (the error model enters the
+/// solver solely through its overhead term).
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorModel& errors);
+
+/// Everything the solver visited on the way to one verdict. The iterate
+/// sequences are the successive window values of the monotone fixed
+/// points — the convergence trajectory `symcan explain` renders.
+struct SolveTrace {
+  std::vector<Duration> busy_iterates;  ///< Busy-period fixed-point iterates.
+  std::int64_t critical_instance = 0;   ///< 0-based q attaining the WCRT.
+  Duration critical_window = Duration::zero();  ///< Fixed point w(q*).
+  std::vector<Duration> window_iterates;        ///< Iterates of w(q*).
+};
+
+/// The per-call-error-model solve, additionally recording its trajectory
+/// into `trace`. Bit-identical to the plain overloads.
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorModel& errors,
+                             SolveTrace& trace);
+
+/// Pack `km` into this thread's arena and solve every row, identity
+/// patched: the whole-bus analysis without a cache, shared by
+/// CanRta::analyze() and IncrementalRta with the cache off.
+std::vector<MessageResult> solve_bus(const KMatrix& km, const CanRtaConfig& cfg);
 
 }  // namespace analysis
 }  // namespace symcan

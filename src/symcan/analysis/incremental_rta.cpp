@@ -12,9 +12,9 @@ namespace symcan::analysis {
 namespace {
 
 /// Misses a run must accumulate before the whole bus gets packed for the
-/// columnar miss path. Roughly pack_bus cost divided by one legacy
-/// build + solve on the case study — below it the legacy path is
-/// cheaper, above it the pack amortizes across the remaining misses.
+/// miss path. Roughly pack_bus cost divided by one one-row build + solve
+/// on the case study — below it the one-row path is cheaper, above it
+/// the pack amortizes across the remaining misses.
 constexpr std::int64_t kPackMissThreshold = 4;
 
 /// SplitMix64-style chain (same shape as the fingerprint helpers).
@@ -89,11 +89,12 @@ MessageResult IncrementalRta::analyze_keyed(const ContextKey& key, const KMatrix
   // and both solve; the results are bit-identical, so the duplicate
   // insert below is harmless (the second becomes a refresh). Whole-bus
   // callers hand in a columnar scratch: packing the whole bus costs a
-  // handful of legacy build + solve calls, so the first few misses of a
-  // run take the legacy path and the pack only happens once enough
-  // misses accumulate to amortize it — near-all-hit analyses (the GA
-  // steady state) never pay for a pack they would barely use. Both miss
-  // paths are bit-identical, so the threshold is purely a speed knob.
+  // handful of one-row build + solve calls, so the first few misses of a
+  // run pack one row each and the whole-bus pack only happens once
+  // enough misses accumulate to amortize it — near-all-hit analyses (the
+  // GA steady state) never pay for a pack they would barely use. Both
+  // sides run the same resolver and kernel, so the threshold is purely a
+  // speed constant.
   MessageResult res;
   if (scratch != nullptr && (*packed || delta.misses >= kPackMissThreshold)) {
     if (!*packed) {
@@ -279,13 +280,7 @@ BusResult IncrementalRta::analyze(const KMatrix& km, const CanRtaConfig& cfg) {
     for (std::size_t i = 0; i < km.size(); ++i)
       out.messages.push_back(analyze_keyed(keys[i], km, cfg, i, delta, &scratch, &packed));
   } else {
-    pack_bus(km, cfg, scratch);
-    for (std::size_t i = 0; i < km.size(); ++i) {
-      MessageResult r = solve_columnar(scratch, i);
-      r.name = km.messages()[i].name;
-      r.id = km.messages()[i].id;
-      out.messages.push_back(std::move(r));
-    }
+    out.messages = solve_bus(km, cfg);
   }
   flush_rta_observations(out);
   flush_cache_observations(delta);

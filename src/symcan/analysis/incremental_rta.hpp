@@ -1,7 +1,7 @@
 #pragma once
 
 // Incremental CAN response-time analysis: a memoizing layer over the
-// shared busy-period core (rta_context.hpp) for the hot loops that
+// busy-period core (columnar.hpp, rta_context.hpp) for the hot loops that
 // re-analyze *edited* matrices thousands of times — GA/NSGA-II fitness
 // evaluation, jitter/error sweeps, sensitivity probes and extensibility
 // searches.
@@ -157,11 +157,11 @@ class IncrementalRta {
   MessageResult analyze_one(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index,
                             RtaCacheStats& delta);
   /// Cache lookup + miss resolution for one message. When `scratch` is
-  /// non-null, misses beyond a small threshold solve on the columnar
-  /// path, packing the whole bus into `scratch` once (`*packed` tracks
-  /// it); the first few misses — and every miss when `scratch` is null —
-  /// run the legacy build + solve. Both miss paths are bit-identical, so
-  /// the choice is purely a speed knob for whole-bus runs.
+  /// non-null, misses beyond a small threshold solve on a whole-bus pack
+  /// made into `scratch` once (`*packed` tracks it); the first few misses
+  /// — and every miss when `scratch` is null — pack one row each. Both
+  /// run the same resolver and kernel, so the choice is purely a speed
+  /// constant for whole-bus runs.
   MessageResult analyze_keyed(const ContextKey& key, const KMatrix& km, const CanRtaConfig& cfg,
                               std::size_t index, RtaCacheStats& delta,
                               ColumnarBus* scratch = nullptr, bool* packed = nullptr);

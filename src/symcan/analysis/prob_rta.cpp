@@ -216,26 +216,34 @@ std::uint64_t prob_config_fingerprint(const ProbRtaConfig& cfg) {
 
 // --- rung ladder ---------------------------------------------------------
 
-RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs) {
+namespace {
+
+/// The one ladder walk over packed row `i`: the deterministic verdict,
+/// then one conditional solve per fault count k the configured model
+/// admits inside the deterministic busy period (capped by max_rungs),
+/// each the same row under FixedFaults{k}. `traces`, when non-null,
+/// receives every rung's solver trace, the deterministic top rung last.
+RungLadder walk_ladder(const ColumnarBus& row, std::size_t i, std::int64_t max_rungs,
+                       std::vector<RungTrace>* traces) {
   RungLadder ladder;
-  ladder.det = solve_message(ctx);
-  ladder.stuff_savings = ctx.cost - ctx.bcrt;
-  ladder.jitter = ctx.activation.jitter();
+  SolveTrace trace;
+  ladder.det = traces != nullptr ? solve_columnar(row, i, *row.errors, trace)
+                                 : solve_columnar(row, i);
+  ladder.stuff_savings = row.cost[i] - row.bcrt[i];
+  ladder.jitter = row.act_jitter[i];
   if (ladder.det.diverged || ladder.det.wcrt.is_infinite()) {
     ladder.rungs = {ladder.det.wcrt};
     return ladder;
   }
-  // Fault counts the configured model admits inside the deterministic
-  // busy period: every materialized-fault pattern the probabilistic run
-  // can see is conditioned on one of these counts.
-  const std::int64_t admitted = ctx.errors->max_faults(ladder.det.busy_period + ctx.cost);
+  const std::int64_t admitted = row.errors->max_faults(ladder.det.busy_period + row.cost[i]);
   const std::int64_t k_stop = std::min(admitted, max_rungs);
   ladder.rungs.reserve(static_cast<std::size_t>(k_stop) + 1);
   Duration prev = Duration::zero();
-  MessageContext rung_ctx = ctx;
   for (std::int64_t k = 0; k < k_stop; ++k) {
-    rung_ctx.errors = std::make_shared<FixedFaults>(k);
-    const MessageResult r = solve_message(rung_ctx);
+    const FixedFaults faults{k};
+    SolveTrace rung_trace;
+    const MessageResult r = traces != nullptr ? solve_columnar(row, i, faults, rung_trace)
+                                              : solve_columnar(row, i, faults);
     // Clamp into [previous rung, deterministic WCRT]: monotone ladder,
     // and det.wcrt bounds any run the deterministic model admits, so the
     // clamp is sound even when a conditional fixed point diverges.
@@ -244,10 +252,25 @@ RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs) 
     v = std::max(v, prev);
     ladder.rungs.push_back(v);
     prev = v;
+    if (traces != nullptr)
+      traces->push_back({k, v, r.wcrt, r.fixedpoint_iterations, rung_trace.critical_instance,
+                         rung_trace.busy_iterates.size()});
   }
   // Top rung: the deterministic WCRT itself — the distribution's
   // provable upper support point.
   ladder.rungs.push_back(ladder.det.wcrt);
+  if (traces != nullptr)
+    traces->push_back({k_stop, ladder.det.wcrt, ladder.det.wcrt, ladder.det.fixedpoint_iterations,
+                       trace.critical_instance, trace.busy_iterates.size()});
+  return ladder;
+}
+
+}  // namespace
+
+RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs) {
+  RungLadder ladder = walk_ladder(ctx.row, 0, max_rungs, nullptr);
+  ladder.det.name = ctx.name;
+  ladder.det.id = ctx.id;
   return ladder;
 }
 
@@ -338,38 +361,11 @@ ProbProvenance explain_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
   validate_prob_config(cfg);
   ProbProvenance out;
   out.det = explain_message(km, cfg.rta, index);
-
-  // Re-walk the ladder with the tracing solver (identical code path, so
-  // the traced rungs ARE the rungs mix_ladder sees).
+  // The traced ladder walk is the ladder mix_ladder sees.
   const MessageContext ctx = build_message_context(km, cfg.rta, index);
-  RungLadder ladder;
-  ladder.det = solve_message(ctx);
-  ladder.stuff_savings = ctx.cost - ctx.bcrt;
-  ladder.jitter = ctx.activation.jitter();
-  if (ladder.det.diverged || ladder.det.wcrt.is_infinite()) {
-    ladder.rungs = {ladder.det.wcrt};
-  } else {
-    const std::int64_t admitted = ctx.errors->max_faults(ladder.det.busy_period + ctx.cost);
-    const std::int64_t k_stop = std::min(admitted, cfg.max_rungs);
-    Duration prev = Duration::zero();
-    MessageContext rung_ctx = ctx;
-    for (std::int64_t k = 0; k < k_stop; ++k) {
-      rung_ctx.errors = std::make_shared<FixedFaults>(k);
-      SolveTrace trace;
-      const MessageResult r = solve_message(rung_ctx, trace);
-      Duration v = r.diverged || r.wcrt.is_infinite() ? ladder.det.wcrt
-                                                      : std::min(r.wcrt, ladder.det.wcrt);
-      v = std::max(v, prev);
-      out.rungs.push_back({k, v, r.wcrt, r.fixedpoint_iterations, trace.critical_instance,
-                           trace.busy_iterates.size()});
-      ladder.rungs.push_back(v);
-      prev = v;
-    }
-    ladder.rungs.push_back(ladder.det.wcrt);
-    out.rungs.push_back({k_stop, ladder.det.wcrt, ladder.det.wcrt,
-                         ladder.det.fixedpoint_iterations, out.det.critical_instance,
-                         out.det.busy_iterates.size()});
-  }
+  RungLadder ladder = walk_ladder(ctx.row, 0, cfg.max_rungs, &out.rungs);
+  ladder.det.name = ctx.name;
+  ladder.det.id = ctx.id;
   out.prob = mix_ladder(ladder, cfg);
   return out;
 }

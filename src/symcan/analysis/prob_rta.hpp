@@ -8,7 +8,7 @@
 // the integration question OEMs actually ask is "what fraction of frames
 // miss at 10^-6?". This module answers it soundly and deterministically:
 //
-//  1. Rung ladder. The busy-period core (rta_context.hpp) is solved once
+//  1. Rung ladder. The message's packed row (columnar.hpp) is solved once
 //     per possible fault count k with a FixedFaults(k) error model,
 //     giving conditional bounds R_0 <= R_1 <= ... <= R_K. The top rung
 //     is the deterministic WCRT itself (K is the fault count the
@@ -195,9 +195,7 @@ struct ProbBusResult {
   std::size_t miss_count(std::uint64_t threshold_weight = 0) const;
 };
 
-/// Solve the rung ladder for one already-built context. `det`, when
-/// non-null, receives the deterministic verdict the ladder is anchored
-/// to (same object as the returned .det).
+/// Solve the rung ladder for one already-built context.
 RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs);
 
 /// Mix a solved ladder into the final distribution under `cfg` — the
@@ -213,9 +211,9 @@ ProbMessageResult analyze_message_prob(const KMatrix& km, const ProbRtaConfig& c
 ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg);
 
 /// One rung of the explained ladder: the conditional bound plus the
-/// solver trajectory that produced it (recorded by the same tracing
-/// solve_message() overload `symcan explain` uses, so the numbers *are*
-/// the verdict).
+/// solver trajectory that produced it (recorded by the same traced
+/// solve_columnar() `symcan explain` uses, so the numbers *are* the
+/// verdict).
 struct RungTrace {
   std::int64_t faults = 0;
   Duration wcrt = Duration::zero();     ///< Clamped rung value used.

@@ -1,12 +1,10 @@
 #include "symcan/analysis/provenance.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+#include <charconv>
+#include <string_view>
 
 #include "symcan/analysis/rta_context.hpp"
-#include "symcan/analysis/tt_schedule.hpp"
 #include "symcan/can/kmatrix.hpp"
 #include "symcan/obs/export.hpp"
 
@@ -20,69 +18,59 @@ Duration Provenance::sum_of_parts() const {
 Provenance explain_message(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index) {
   ContextLabels labels;
   const MessageContext ctx = build_message_context(km, cfg, index, &labels);
+  const ColumnarBus& row = ctx.row;
   SolveTrace trace;
 
   Provenance p;
-  p.result = solve_message(ctx, trace);
+  p.result = solve_columnar(row, 0, *row.errors, trace);
+  p.result.name = ctx.name;
+  p.result.id = ctx.id;
   p.name = ctx.name;
   p.id = ctx.id;
   p.blocking_frame = labels.blocking_frame;
   p.bus_blocking = labels.bus_blocking;
   p.intra_node_blocking = labels.intra_node_blocking;
-  p.own_cost = ctx.cost;
+  p.own_cost = row.cost[0];
   p.busy_iterates = std::move(trace.busy_iterates);
   if (p.result.diverged) return p;  // No finite window to decompose.
 
   // Re-evaluate every term of the window recurrence at the recorded
   // fixed point w(q*). Because w* satisfies the recurrence exactly, the
   // terms sum back to w* in integer arithmetic — no residual, no
-  // rounding. This mirrors solve_message()'s interference evaluation
-  // including the TtGroup build fallback, so each share is precisely
-  // what the solver charged.
+  // rounding. The row's hp entries (offset-blind group fallbacks
+  // included) and built groups are exactly what the solver charged.
   const Duration w = trace.critical_window;
-  const Duration probe = w + ctx.timing.bit_time();
+  const Duration probe = w + row.timing.bit_time();
   p.critical_instance = trace.critical_instance;
   p.critical_window = w;
   p.window_iterates = std::move(trace.window_iterates);
-  p.preceding_instances = trace.critical_instance * ctx.cost;
-  p.arrival_credit = ctx.activation.delta_min(trace.critical_instance + 1);
-  p.error_overhead = ctx.errors->overhead(w + ctx.cost, ctx.max_retx, ctx.timing);
+  p.preceding_instances = trace.critical_instance * row.cost[0];
+  p.arrival_credit = columnar_delta_min(trace.critical_instance + 1, row.act_period[0],
+                                        row.act_jitter[0], row.act_dmin[0]);
+  p.error_overhead = row.errors->overhead(w + row.cost[0], row.max_retx[0], row.timing);
 
-  for (std::size_t i = 0; i < ctx.hp.size(); ++i) {
-    const auto& [em, cost] = ctx.hp[i];
+  for (std::size_t k = 0; k < labels.hp.size(); ++k) {
     InterferenceShare s;
-    s.name = labels.hp[i];
-    s.preemptions = em.eta_plus(probe);
-    s.contribution = s.preemptions * cost;
+    s.name = labels.hp[k];
+    s.preemptions = columnar_eta_plus(probe, row.hp_period[k], row.hp_jitter[k], row.hp_dmin[k]);
+    s.contribution = s.preemptions * row.hp_cost[k];
     p.interference.push_back(std::move(s));
   }
-  for (std::size_t i = 0; i < ctx.tt.size(); ++i) {
-    if (auto g = TtGroup::build(ctx.tt[i])) {
-      // Offset-group demand is bounded jointly over the hyperperiod;
-      // it has no exact per-member split, so the group is one share.
-      InterferenceShare s;
-      s.name = labels.tt_sender[i];
-      s.members = labels.tt_members[i];
-      s.offset_group = true;
-      s.contribution = g->interference(probe);
-      p.interference.push_back(std::move(s));
-    } else {
-      // Hyperperiod too large: the solver fell back to offset-blind
-      // event models, so the members decompose individually after all.
-      for (std::size_t j = 0; j < ctx.tt[i].size(); ++j) {
-        const TtGroup::Member& m = ctx.tt[i][j];
-        InterferenceShare s;
-        s.name = labels.tt_members[i][j];
-        s.preemptions = EventModel::periodic_jitter(m.period, m.jitter).eta_plus(probe);
-        s.contribution = s.preemptions * m.cost;
-        p.interference.push_back(std::move(s));
-      }
-    }
+  // Offset-group demand is bounded jointly over the hyperperiod; it has
+  // no exact per-member split, so each group is one share.
+  for (std::size_t g = 0; g < labels.tt_sender.size(); ++g) {
+    InterferenceShare s;
+    s.name = labels.tt_sender[g];
+    s.members = labels.tt_members[g];
+    s.offset_group = true;
+    s.contribution = row.tt_groups[g].interference(probe);
+    p.interference.push_back(std::move(s));
   }
   std::sort(p.interference.begin(), p.interference.end(),
             [](const InterferenceShare& a, const InterferenceShare& b) {
               if (a.contribution != b.contribution) return a.contribution > b.contribution;
-              return a.name < b.name;
+              if (a.name != b.name) return a.name < b.name;
+              return a.offset_group < b.offset_group;
             });
   for (const auto& s : p.interference) p.interference_total += s.contribution;
   return p;
@@ -97,53 +85,52 @@ std::optional<std::size_t> find_message(const KMatrix& km, std::string_view name
 
 namespace {
 
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  va_list ap2;
-  va_copy(ap2, ap);
-  char buf[256];
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) {
-    va_end(ap2);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    out.append(buf, static_cast<std::size_t>(n));
-  } else {
-    // Hostile-length names (escaped message names in JSON) overflow the
-    // stack buffer; re-render into a right-sized heap one.
-    std::string big(static_cast<std::size_t>(n) + 1, '\0');
-    std::vsnprintf(big.data(), big.size(), fmt, ap2);
-    big.resize(static_cast<std::size_t>(n));
-    out += big;
-  }
-  va_end(ap2);
+/// printf "%-Ns" (left) or "%Ns" of `s`.
+void append_padded(std::string& out, std::string_view s, std::size_t width, bool left) {
+  const std::size_t pad = s.size() < width ? width - s.size() : 0;
+  if (!left) out.append(pad, ' ');
+  out += s;
+  if (left) out.append(pad, ' ');
 }
 
+/// to_string(d), right-aligned in `width` columns (printf "%12s").
+void append_duration(std::string& out, Duration d, std::size_t width = 0) {
+  char buf[kDurationChars];
+  append_padded(out, {buf, format_duration(buf, d)}, width, false);
+}
+
+/// Names print up to their first NUL, as printf "%s" of c_str() did.
+std::string_view c_name(const std::string& s) { return s.c_str(); }
+
 /// "a -> b -> ... -> z", eliding the middle of long trajectories.
-std::string iterates_to_text(const std::vector<Duration>& xs) {
-  std::string out;
+void append_iterates(std::string& out, const std::vector<Duration>& xs) {
   constexpr std::size_t kHead = 4, kTail = 2;
   if (xs.size() <= kHead + kTail + 1) {
     for (std::size_t i = 0; i < xs.size(); ++i) {
       if (i) out += " -> ";
-      out += to_string(xs[i]);
+      append_duration(out, xs[i]);
     }
-    return out;
+    return;
   }
   for (std::size_t i = 0; i < kHead; ++i) {
-    out += to_string(xs[i]);
+    append_duration(out, xs[i]);
     out += " -> ";
   }
-  appendf(out, "... (%zu elided) ", xs.size() - kHead - kTail);
+  out += "... (";
+  append_integer(out, xs.size() - kHead - kTail);
+  out += " elided) ";
   for (std::size_t i = xs.size() - kTail; i < xs.size(); ++i) {
     out += "-> ";
-    out += to_string(xs[i]);
+    append_duration(out, xs[i]);
     if (i + 1 < xs.size()) out += " ";
   }
-  return out;
+}
+
+/// One "  label   <duration, 12 wide>" line of the breakdown.
+void append_term(std::string& out, std::string_view label, Duration d) {
+  out += "  ";
+  append_padded(out, label, 21, true);
+  append_duration(out, d, 12);
 }
 
 void iterates_to_json(obs::JsonWriter& w, const std::vector<Duration>& xs) {
@@ -157,45 +144,89 @@ void iterates_to_json(obs::JsonWriter& w, const std::vector<Duration>& xs) {
 std::string provenance_to_text(const Provenance& p) {
   std::string out;
   const MessageResult& r = p.result;
-  appendf(out, "message %s (id 0x%X)\n", p.name.c_str(), p.id);
+  char hex[2 * sizeof p.id];
+  const std::size_t hex_len =
+      static_cast<std::size_t>(std::to_chars(hex, hex + sizeof hex, p.id, 16).ptr - hex);
+  std::transform(hex, hex + hex_len, hex, [](char c) { return c >= 'a' ? c - 'a' + 'A' : c; });
+  out += "message ";
+  out += c_name(p.name);
+  out += " (id 0x";
+  out.append(hex, hex_len);
+  out += ")\n";
   if (r.diverged) {
-    appendf(out, "verdict: DIVERGED — busy period exceeds the analysis horizon\n");
-    appendf(out, "convergence: busy period %s\n", iterates_to_text(p.busy_iterates).c_str());
+    out += "verdict: DIVERGED — busy period exceeds the analysis horizon\n";
+    out += "convergence: busy period ";
+    append_iterates(out, p.busy_iterates);
+    out += '\n';
     return out;
   }
-  appendf(out, "verdict: %s  (wcrt %s vs deadline %s, slack %s)\n",
-          r.schedulable ? "schedulable" : "DEADLINE MISS", to_string(r.wcrt).c_str(),
-          to_string(r.deadline).c_str(), to_string(r.slack()).c_str());
-  appendf(out, "busy period: %s  (%" PRId64 " instances, %" PRId64 " fixed-point iterations)\n",
-          to_string(r.busy_period).c_str(), r.instances, r.fixedpoint_iterations);
-  appendf(out, "critical instance: q* = %" PRId64 "  (window w* = %s)\n", p.critical_instance,
-          to_string(p.critical_window).c_str());
-  out += "breakdown of the bound:\n";
-  appendf(out, "  blocking             %12s", to_string(p.bus_blocking + p.intra_node_blocking).c_str());
-  if (!p.blocking_frame.empty())
-    appendf(out, "   frame '%s' (bus %s + intra-node %s)", p.blocking_frame.c_str(),
-            to_string(p.bus_blocking).c_str(), to_string(p.intra_node_blocking).c_str());
-  out += "\n";
-  appendf(out, "  preceding instances  %12s   %" PRId64 " x %s\n",
-          to_string(p.preceding_instances).c_str(), p.critical_instance,
-          to_string(p.own_cost).c_str());
-  appendf(out, "  interference         %12s\n", to_string(p.interference_total).c_str());
+  out += "verdict: ";
+  out += r.schedulable ? "schedulable" : "DEADLINE MISS";
+  out += "  (wcrt ";
+  append_duration(out, r.wcrt);
+  out += " vs deadline ";
+  append_duration(out, r.deadline);
+  out += ", slack ";
+  append_duration(out, r.slack());
+  out += ")\nbusy period: ";
+  append_duration(out, r.busy_period);
+  out += "  (";
+  append_integer(out, r.instances);
+  out += " instances, ";
+  append_integer(out, r.fixedpoint_iterations);
+  out += " fixed-point iterations)\ncritical instance: q* = ";
+  append_integer(out, p.critical_instance);
+  out += "  (window w* = ";
+  append_duration(out, p.critical_window);
+  out += ")\nbreakdown of the bound:\n";
+  append_term(out, "blocking", p.bus_blocking + p.intra_node_blocking);
+  if (!p.blocking_frame.empty()) {
+    out += "   frame '";
+    out += c_name(p.blocking_frame);
+    out += "' (bus ";
+    append_duration(out, p.bus_blocking);
+    out += " + intra-node ";
+    append_duration(out, p.intra_node_blocking);
+    out += ')';
+  }
+  out += '\n';
+  append_term(out, "preceding instances", p.preceding_instances);
+  out += "   ";
+  append_integer(out, p.critical_instance);
+  out += " x ";
+  append_duration(out, p.own_cost);
+  out += '\n';
+  append_term(out, "interference", p.interference_total);
+  out += '\n';
   for (const auto& s : p.interference) {
+    out += "    ";
+    append_padded(out, c_name(s.name), 18, true);
+    out += ' ';
+    append_duration(out, s.contribution, 12);
+    out += "   ";
     if (s.offset_group) {
-      appendf(out, "    %-18s %12s   offset group, %zu members\n", s.name.c_str(),
-              to_string(s.contribution).c_str(), s.members.size());
+      out += "offset group, ";
+      append_integer(out, s.members.size());
+      out += " members\n";
     } else {
-      appendf(out, "    %-18s %12s   %" PRId64 " preemptions\n", s.name.c_str(),
-              to_string(s.contribution).c_str(), s.preemptions);
+      append_integer(out, s.preemptions);
+      out += " preemptions\n";
     }
   }
-  appendf(out, "  error overhead       %12s\n", to_string(p.error_overhead).c_str());
-  appendf(out, "  own transmission     %12s\n", to_string(p.own_cost).c_str());
-  appendf(out, "  arrival credit       %12s\n", to_string(-p.arrival_credit).c_str());
-  appendf(out, "  = bound              %12s   (sum of parts %s wcrt)\n",
-          to_string(p.sum_of_parts()).c_str(), p.sum_check() ? "==" : "!=");
-  appendf(out, "convergence: busy period %s\n", iterates_to_text(p.busy_iterates).c_str());
-  appendf(out, "convergence: window q*   %s\n", iterates_to_text(p.window_iterates).c_str());
+  append_term(out, "error overhead", p.error_overhead);
+  out += '\n';
+  append_term(out, "own transmission", p.own_cost);
+  out += '\n';
+  append_term(out, "arrival credit", -p.arrival_credit);
+  out += '\n';
+  append_term(out, "= bound", p.sum_of_parts());
+  out += "   (sum of parts ";
+  out += p.sum_check() ? "==" : "!=";
+  out += " wcrt)\nconvergence: busy period ";
+  append_iterates(out, p.busy_iterates);
+  out += "\nconvergence: window q*   ";
+  append_iterates(out, p.window_iterates);
+  out += '\n';
   return out;
 }
 

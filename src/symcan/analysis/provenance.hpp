@@ -11,10 +11,11 @@
 //   w*    = B_bus + B_intra + q*·C_m + Σ_k I_k(w* + τ_bit) + E(w* + C_m)
 //   bound = w* + C_m − δ_min(q* + 1)
 //
-// explain_message() records the solver's trajectory (via the tracing
-// solve_message() overload, which runs the identical code path — an
-// explained verdict *is* the verdict), then evaluates each interference
-// term once more at w* against the labelled context, attributing every
+// explain_message() packs the message's row with labels and records the
+// solver's trajectory (via the traced solve_columnar() overload, which
+// runs the identical code path — an explained verdict *is* the verdict),
+// then evaluates each term once more at w* against the labelled row's hp
+// entries and offset groups, attributing every
 // nanosecond of the bound to a blocking frame, an interferer, an offset
 // group, the error model, or the message itself. sum_check() asserts the
 // reconstruction; the differential test in tests/analysis pins it across

@@ -1,46 +1,38 @@
 #pragma once
 
-// The shared busy-period core of the CAN response-time analysis, split
-// into two halves:
+// Per-message entry points of the busy-period core (columnar.hpp), and
+// the content-addressed keys IncrementalRta caches verdicts under:
 //
-//   build_message_context(km, cfg, i)  — resolve everything message i's
-//       verdict can depend on into a self-contained MessageContext: its
-//       own cost/deadline/event model, the blocking terms, the
-//       higher-priority interference set (event models + frame times),
-//       the offset-scheduled sender groups, and the error model.
+//   build_message_context(km, cfg, i)  — resolve message i into a
+//       self-contained MessageContext: one packed row of the columnar
+//       layout, plus (on request) the human-readable labels of its terms.
 //
-//   solve_message(ctx)                 — run the Davis/Tindell busy-period
-//       fixed point on that context alone. Deterministic: two equal
-//       contexts always produce bit-identical MessageResults.
+//   solve_message(ctx)                 — the columnar fixed point on that
+//       row. Deterministic: equal rows give bit-identical MessageResults.
 //
-// CanRta::analyze_message() is exactly build + solve; IncrementalRta
-// inserts a memo table between the two halves, keyed by
-// context_fingerprint(). The split is what makes the cache sound: the
-// fingerprint covers every field the solver reads, and nothing else
-// reaches the solver, so a fingerprint hit *is* a proof that the fresh
-// analysis would produce the same bits.
+//   message_fingerprint / bus_fingerprints — a 128-bit key over every
+//       value the solver reads for message i.
 //
-// The context is deliberately *resolved*, not raw: lower-priority
-// messages enter only through the blocking/retransmission maxima, the
-// interference set is canonically sorted (CAN interference is a set
-// property — arbitration order among higher-priority frames does not
-// change the busy-window sum), and config switches (stuffing, deadline
-// override, controller queue modelling, offset use) are already folded
-// into the values they influence. Two GA neighbours that differ in one
-// ID swap therefore share contexts for every message outside the swapped
-// priority span, and a jitter sweep reuses every message whose
-// interference set the sweep does not touch.
+// All three, and pack_bus(), run the same row resolver (columnar.cpp),
+// so they agree on the effective priority level, the blocking terms,
+// the largest retransmittable frame, the interference predicate and the
+// offset groups by construction. The key hashes the resolved values, not
+// the raw matrix: lower-priority messages enter only through the
+// blocking/retransmission maxima, and the interference sets are hashed
+// as multisets (CAN interference is a set property — arbitration order
+// among higher-priority frames does not change the busy-window sum), so
+// a fingerprint hit *is* a proof that a fresh solve would produce the
+// same bits. Two GA neighbours that differ in one ID swap therefore
+// share keys for every message outside the swapped priority span, and a
+// jitter sweep reuses every message whose interference set the sweep
+// does not touch.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "symcan/analysis/error_model.hpp"
-#include "symcan/analysis/tt_schedule.hpp"
-#include "symcan/model/event_model.hpp"
+#include "symcan/analysis/columnar.hpp"
 #include "symcan/util/time.hpp"
 
 namespace symcan {
@@ -57,32 +49,8 @@ struct MessageContext {
   /// cached result can be re-labelled for a structurally equal message.
   std::string name;
   std::uint32_t id = 0;
-
-  // --- Solver inputs; all of these are covered by the fingerprint. ---
-  BitTiming timing{500'000};
-  Duration cost = Duration::zero();      ///< C_m under the configured stuffing.
-  Duration bcrt = Duration::zero();      ///< Unstuffed frame time.
-  Duration deadline = Duration::infinite();  ///< Resolved against any override.
-  EventModel activation = EventModel::periodic(Duration::ms(10));
-  /// Total blocking: one lower-priority frame on the bus plus committed
-  /// same-node basicCAN FIFO entries.
-  Duration blocking = Duration::zero();
-  /// Largest frame a fault can force to retransmit at this level.
-  Duration max_retx = Duration::zero();
-  Duration horizon = Duration::s(10);
-
-  /// Higher-priority interferers analyzed through their event models,
-  /// sorted canonically (period, jitter, min distance, cost).
-  std::vector<std::pair<EventModel, Duration>> hp;
-
-  /// Offset-scheduled higher-priority interferers, one member list per
-  /// sending node; members and lists sorted canonically. The solver
-  /// builds TtGroups from these (falling back to offset-blind event
-  /// models when a hyperperiod is unbounded — a deterministic function
-  /// of the members, so the members are what the fingerprint covers).
-  std::vector<std::vector<TtGroup::Member>> tt;
-
-  std::shared_ptr<const ErrorModel> errors;
+  /// The message resolved against its bus: a one-row ColumnarBus.
+  ColumnarBus row;
 };
 
 /// 128-bit context key. Two lanes of independent mixing make accidental
@@ -103,60 +71,37 @@ struct ContextKeyHash {
 /// Human-readable identities of a context's solver inputs, filled by
 /// build_message_context() on request. Pure output identity — never
 /// hashed, never read by the solver — consumed by the provenance layer
-/// (analysis/provenance.hpp) to name the terms of a breakdown. When
-/// labels are requested, ties in the canonical interference order are
-/// broken by name so the labelled order is deterministic; tied entries
-/// are identical to the solver, so results are unaffected.
+/// (analysis/provenance.hpp) to name the terms of a breakdown.
 struct ContextLabels {
-  std::vector<std::string> hp;  ///< Parallel to MessageContext::hp.
-  /// Parallel to MessageContext::tt: the sending node of each offset
-  /// group and the names of its members.
+  /// Parallel to the row's hp entries: the interfering message of each,
+  /// offset-blind group fallbacks included.
+  std::vector<std::string> hp;
+  /// Parallel to the row's tt_groups: the sending node of each offset
+  /// group and its member names, sorted by (member key, name).
   std::vector<std::string> tt_sender;
   std::vector<std::vector<std::string>> tt_members;
-  std::string blocking_frame;  ///< Largest lower-priority bus frame; "" if none.
+  /// Largest lower-priority bus frame, the first in matrix order among
+  /// equal maxima; "" if none.
+  std::string blocking_frame;
   Duration bus_blocking = Duration::zero();
   Duration intra_node_blocking = Duration::zero();
 };
 
 /// Resolve message `index` of `km` under `cfg` into a solver context.
-/// Mirrors CanRta's interference-set construction exactly. `labels`,
-/// when non-null, receives the human-readable identity of every
+/// `labels`, when non-null, receives the human-readable identity of every
 /// resolved input (see ContextLabels).
 MessageContext build_message_context(const KMatrix& km, const CanRtaConfig& cfg,
                                      std::size_t index, ContextLabels* labels = nullptr);
-
-/// Everything the solver visited on the way to one verdict, recorded by
-/// the explaining overload of solve_message(). The iterate sequences are
-/// the successive window values of the monotone fixed points — the
-/// convergence trajectory `symcan explain` renders.
-struct SolveTrace {
-  std::vector<Duration> busy_iterates;  ///< Busy-period fixed-point iterates.
-  std::int64_t critical_instance = 0;   ///< 0-based q attaining the WCRT.
-  Duration critical_window = Duration::zero();  ///< Fixed point w(q*).
-  std::vector<Duration> window_iterates;        ///< Iterates of w(q*).
-};
 
 /// Run the busy-period fixed point on one context. Pure: equal contexts
 /// give bit-identical results (iteration counts included).
 MessageResult solve_message(const MessageContext& ctx);
 
-/// Same computation, additionally recording the solver's trajectory.
-/// Guaranteed bit-identical to the plain overload (same code path; the
-/// recorder only observes), so an explained verdict *is* the verdict.
-MessageResult solve_message(const MessageContext& ctx, SolveTrace& trace);
-
-/// Stable 128-bit fingerprint over every solver input of `ctx` plus the
-/// raw config switches (redundant with the resolved values, kept as
-/// cheap insurance against future fields bypassing the context). The
+/// Fingerprint of message `index`: every resolved solver input plus the
+/// raw config switches (redundant with the resolved values, kept as cheap
+/// insurance against future fields bypassing the resolution). The
 /// interference sets are hashed as multisets (commutative combine), so
 /// the key is independent of element order.
-ContextKey context_fingerprint(const MessageContext& ctx, const CanRtaConfig& cfg);
-
-/// Fingerprint of message `index` computed directly from the matrix in
-/// one allocation-light pass, without materializing a MessageContext.
-/// Guaranteed equal to context_fingerprint(build_message_context(km,
-/// cfg, index), cfg) — the cheap lookup path of IncrementalRta, which
-/// only pays for context construction on a miss.
 ContextKey message_fingerprint(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index);
 
 /// All message fingerprints of `km` at once, equal element-wise to

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdarg>
+#include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -153,6 +157,144 @@ TEST(ProvenanceRendering, TextAndJsonCarryTheBreakdown) {
   EXPECT_NE(json.find("\"sum_check\":true"), std::string::npos);
   EXPECT_NE(json.find("\"interference\":["), std::string::npos);
   EXPECT_NE(json.find("\"busy_iterates_ns\":["), std::string::npos);
+}
+
+/// The printf layout provenance_to_text had, kept here as the reference
+/// for its byte identity (rendered at whatever length it needs).
+void appendf(std::string& out, const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  va_list ap2;
+  va_copy(ap2, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  std::string buf(static_cast<std::size_t>(n) + 1, '\0');
+  std::vsnprintf(buf.data(), buf.size(), fmt, ap2);
+  va_end(ap2);
+  buf.resize(static_cast<std::size_t>(n));
+  out += buf;
+}
+
+std::string printf_iterates(const std::vector<Duration>& xs) {
+  std::string out;
+  constexpr std::size_t kHead = 4, kTail = 2;
+  if (xs.size() <= kHead + kTail + 1) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (i) out += " -> ";
+      out += to_string(xs[i]);
+    }
+    return out;
+  }
+  for (std::size_t i = 0; i < kHead; ++i) {
+    out += to_string(xs[i]);
+    out += " -> ";
+  }
+  appendf(out, "... (%zu elided) ", xs.size() - kHead - kTail);
+  for (std::size_t i = xs.size() - kTail; i < xs.size(); ++i) {
+    out += "-> ";
+    out += to_string(xs[i]);
+    if (i + 1 < xs.size()) out += " ";
+  }
+  return out;
+}
+
+std::string printf_provenance_text(const analysis::Provenance& p) {
+  std::string out;
+  const MessageResult& r = p.result;
+  appendf(out, "message %s (id 0x%X)\n", p.name.c_str(), p.id);
+  if (r.diverged) {
+    appendf(out, "verdict: DIVERGED — busy period exceeds the analysis horizon\n");
+    appendf(out, "convergence: busy period %s\n", printf_iterates(p.busy_iterates).c_str());
+    return out;
+  }
+  appendf(out, "verdict: %s  (wcrt %s vs deadline %s, slack %s)\n",
+          r.schedulable ? "schedulable" : "DEADLINE MISS", to_string(r.wcrt).c_str(),
+          to_string(r.deadline).c_str(), to_string(r.slack()).c_str());
+  appendf(out, "busy period: %s  (%" PRId64 " instances, %" PRId64 " fixed-point iterations)\n",
+          to_string(r.busy_period).c_str(), r.instances, r.fixedpoint_iterations);
+  appendf(out, "critical instance: q* = %" PRId64 "  (window w* = %s)\n", p.critical_instance,
+          to_string(p.critical_window).c_str());
+  out += "breakdown of the bound:\n";
+  appendf(out, "  blocking             %12s",
+          to_string(p.bus_blocking + p.intra_node_blocking).c_str());
+  if (!p.blocking_frame.empty())
+    appendf(out, "   frame '%s' (bus %s + intra-node %s)", p.blocking_frame.c_str(),
+            to_string(p.bus_blocking).c_str(), to_string(p.intra_node_blocking).c_str());
+  out += "\n";
+  appendf(out, "  preceding instances  %12s   %" PRId64 " x %s\n",
+          to_string(p.preceding_instances).c_str(), p.critical_instance,
+          to_string(p.own_cost).c_str());
+  appendf(out, "  interference         %12s\n", to_string(p.interference_total).c_str());
+  for (const auto& s : p.interference) {
+    if (s.offset_group) {
+      appendf(out, "    %-18s %12s   offset group, %zu members\n", s.name.c_str(),
+              to_string(s.contribution).c_str(), s.members.size());
+    } else {
+      appendf(out, "    %-18s %12s   %" PRId64 " preemptions\n", s.name.c_str(),
+              to_string(s.contribution).c_str(), s.preemptions);
+    }
+  }
+  appendf(out, "  error overhead       %12s\n", to_string(p.error_overhead).c_str());
+  appendf(out, "  own transmission     %12s\n", to_string(p.own_cost).c_str());
+  appendf(out, "  arrival credit       %12s\n", to_string(-p.arrival_credit).c_str());
+  appendf(out, "  = bound              %12s   (sum of parts %s wcrt)\n",
+          to_string(p.sum_of_parts()).c_str(), p.sum_check() ? "==" : "!=");
+  appendf(out, "convergence: busy period %s\n", printf_iterates(p.busy_iterates).c_str());
+  appendf(out, "convergence: window q*   %s\n", printf_iterates(p.window_iterates).c_str());
+  return out;
+}
+
+TEST(ProvenanceRendering, TextMatchesPrintfLayoutOnRandomProvenances) {
+  std::mt19937_64 rng{0x9e0};
+  std::uniform_int_distribution<int> name_len{0, 300};
+  std::uniform_int_distribution<std::int64_t> ns{0, 5'000'000'000};
+  const auto name = [&](char c) {
+    const int len = rng() % 2 ? name_len(rng) % 24 : name_len(rng);
+    return std::string(static_cast<std::size_t>(len), c);
+  };
+  const auto duration = [&] {
+    if (rng() % 16 == 0) return Duration::infinite();
+    return Duration::ns(ns(rng) / static_cast<std::int64_t>(1 + rng() % 1000));
+  };
+  const auto iterates = [&] {
+    std::vector<Duration> xs(rng() % 12);
+    for (Duration& x : xs) x = duration();
+    return xs;
+  };
+  for (int t = 0; t < 2000; ++t) {
+    analysis::Provenance p;
+    p.name = name('m');
+    p.id = static_cast<CanId>(rng() % 0x20000000);
+    p.result.diverged = rng() % 8 == 0;
+    p.result.schedulable = rng() % 2 == 0;
+    p.result.wcrt = duration();
+    p.result.deadline = duration();
+    p.result.busy_period = duration();
+    p.result.instances = static_cast<std::int64_t>(rng() % 50);
+    p.result.fixedpoint_iterations = static_cast<std::int64_t>(rng() % 5000);
+    p.blocking_frame = rng() % 3 == 0 ? std::string{} : name('b');
+    p.bus_blocking = duration();
+    p.intra_node_blocking = duration();
+    p.critical_instance = static_cast<std::int64_t>(rng() % 10);
+    p.critical_window = duration();
+    p.preceding_instances = duration();
+    for (std::size_t k = rng() % 6; k > 0; --k) {
+      analysis::InterferenceShare s;
+      s.name = name('i');
+      s.offset_group = rng() % 3 == 0;
+      if (s.offset_group) s.members.resize(rng() % 5);
+      s.preemptions = static_cast<std::int64_t>(rng() % 100);
+      s.contribution = duration();
+      p.interference.push_back(std::move(s));
+    }
+    p.interference_total = duration();
+    p.error_overhead = duration();
+    p.own_cost = duration();
+    p.arrival_credit = duration();
+    p.busy_iterates = iterates();
+    p.window_iterates = iterates();
+    ASSERT_EQ(analysis::provenance_to_text(p), printf_provenance_text(p)) << "provenance " << t;
+  }
 }
 
 TEST(ProvenanceDiverged, OverloadedBusExplainsWithoutDecomposing) {
