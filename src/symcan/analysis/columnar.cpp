@@ -46,15 +46,20 @@ Duration effective_deadline(const CanMessage& m, const CanRtaConfig& cfg) {
 /// applies the priority relations to one message.
 class RowResolver {
  public:
-  RowResolver(const KMatrix& km, const CanRtaConfig& cfg) : km_{km}, cfg_{cfg} {
-    const auto& msgs = km.messages();
-    const std::size_t n = msgs.size();
-    rank_.reserve(n);
-    cost_.reserve(n);
-    activation_.reserve(n);
-    sender_.reserve(n);
-    offset_.reserve(n);
-    for (const CanMessage& m : msgs) {
+  /// Scan `km` under `cfg`, reusing the capacity of an earlier scan.
+  void scan(const KMatrix& km, const CanRtaConfig& cfg) {
+    km_ = &km;
+    cfg_ = &cfg;
+    rank_.clear();
+    cost_.clear();
+    activation_.clear();
+    sender_.clear();
+    offset_.clear();
+    senders_.clear();
+    basic_.clear();
+    tx_buffers_.clear();
+    lowest_.clear();
+    for (const CanMessage& m : km.messages()) {
       rank_.push_back(m.arbitration_rank());
       cost_.push_back(m.wcet(km.timing(), cfg.worst_case_stuffing));
       activation_.push_back(m.activation());
@@ -74,8 +79,8 @@ class RowResolver {
     }
   }
 
-  const KMatrix& matrix() const { return km_; }
-  const CanRtaConfig& config() const { return cfg_; }
+  const KMatrix& matrix() const { return *km_; }
+  const CanRtaConfig& config() const { return *cfg_; }
   std::size_t size() const { return rank_.size(); }
   std::size_t sender_count() const { return senders_.size(); }
   const std::string& sender_name(std::size_t s) const { return *senders_[s]; }
@@ -111,24 +116,32 @@ class RowResolver {
   /// i and cannot interfere).
   template <typename F>
   Row resolve(std::size_t i, const std::vector<std::size_t>* order, F&& interferer) {
-    const std::size_t s = sender_[i];
-    const std::uint64_t level = basic_[s] ? lowest_[s] : rank_[i];
+    // Locals, so the interferer's writes cannot force reloads.
+    const std::size_t n = rank_.size();
+    const std::size_t* scan_order = order != nullptr ? order->data() : nullptr;
+    const std::uint64_t* rank = rank_.data();
+    const Duration* cost = cost_.data();
+    const std::size_t* sender = sender_.data();
+    const std::size_t s = sender[i];
+    const bool basic = basic_[s] != 0;
+    const std::uint64_t own = rank[i];
+    const std::uint64_t level = basic ? lowest_[s] : own;
     Row row;
-    row.max_retx = cost_[i];
+    row.max_retx = cost[i];
     committed_.clear();
-    for (std::size_t j = 0; j < rank_.size(); ++j) {
-      const std::size_t k = order != nullptr ? (*order)[j] : j;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t k = scan_order != nullptr ? scan_order[j] : j;
       if (k == i) continue;
-      if (rank_[k] > level) {
-        if (cost_[k] > row.bus_blocking) {
-          row.bus_blocking = cost_[k];
+      if (rank[k] > level) {
+        if (cost[k] > row.bus_blocking) {
+          row.bus_blocking = cost[k];
           row.blocking_frame = k;
         }
       } else {
-        row.max_retx = max(row.max_retx, cost_[k]);
-        if (sender_[k] == s ? rank_[k] < rank_[i] : rank_[k] < level) interferer(k);
+        row.max_retx = max(row.max_retx, cost[k]);
+        if (sender[k] == s ? rank[k] < own : rank[k] < level) interferer(k);
       }
-      if (basic_[s] && sender_[k] == s && rank_[k] > rank_[i]) committed_.push_back(cost_[k]);
+      if (basic && sender[k] == s && rank[k] > own) committed_.push_back(cost[k]);
     }
     row.max_retx = max(row.max_retx, row.bus_blocking);
     if (!committed_.empty()) {
@@ -141,8 +154,8 @@ class RowResolver {
   }
 
  private:
-  const KMatrix& km_;
-  const CanRtaConfig& cfg_;
+  const KMatrix* km_ = nullptr;
+  const CanRtaConfig* cfg_ = nullptr;
   std::vector<std::uint64_t> rank_;
   std::vector<Duration> cost_;
   std::vector<EventModel> activation_;
@@ -155,6 +168,14 @@ class RowResolver {
   std::vector<std::uint64_t> lowest_;
   std::vector<Duration> committed_;  ///< Scratch of resolve().
 };
+
+/// This thread's resolver, scanned for `km` under `cfg`: the per-call
+/// entry points reuse its capacity instead of allocating every column.
+RowResolver& thread_resolver(const KMatrix& km, const CanRtaConfig& cfg) {
+  static thread_local RowResolver r;
+  r.scan(km, cfg);
+  return r;
+}
 
 // ------------------------------------------------------------------ packing
 
@@ -554,7 +575,7 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out) {
   out.hp_begin.reserve(n + 1);
   out.tt_begin.reserve(n + 1);
 
-  RowResolver r{km, cfg};
+  RowResolver& r = thread_resolver(km, cfg);
   // Canonical hp order, established once: indices sorted by the quad
   // (period, jitter, min distance, cost). Scanning interferers in this
   // order emits every message's hp rows already sorted.
@@ -568,7 +589,7 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out) {
   std::sort(by_quad.begin(), by_quad.end(),
             [&](std::size_t a, std::size_t b) { return quad(a) < quad(b); });
 
-  PackScratch scratch;
+  static thread_local PackScratch scratch;
   for (std::size_t i = 0; i < n; ++i) pack_row(r, i, &by_quad, out, scratch, nullptr);
   close_bus(out);
 }
@@ -616,9 +637,11 @@ MessageContext build_message_context(const KMatrix& km, const CanRtaConfig& cfg,
   ctx.name = km.messages()[index].name;
   ctx.id = km.messages()[index].id;
   begin_bus(km, cfg, ctx.row);
-  RowResolver r{km, cfg};
-  PackScratch scratch;
-  pack_row(r, index, nullptr, ctx.row, scratch, labels);
+  // One row holds at most every other message: reserve once.
+  for (auto* lane : {&ctx.row.hp_period, &ctx.row.hp_jitter, &ctx.row.hp_dmin, &ctx.row.hp_cost})
+    lane->reserve(km.size());
+  static thread_local PackScratch scratch;
+  pack_row(thread_resolver(km, cfg), index, nullptr, ctx.row, scratch, labels);
   close_bus(ctx.row);
   return ctx;
 }
@@ -633,21 +656,21 @@ MessageResult solve_message(const MessageContext& ctx) {
 
 ContextKey message_fingerprint(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index) {
   if (index >= km.size()) throw std::out_of_range("message_fingerprint: bad index");
-  RowResolver r{km, cfg};
-  std::vector<MultisetAcc> groups;
+  RowResolver& r = thread_resolver(km, cfg);
+  static thread_local std::vector<MultisetAcc> groups;
   return row_key(r, index, cfg.errors->fingerprint(),
                  [&](std::size_t k) { return element_hash(r, k); }, groups);
 }
 
 std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg) {
   const std::size_t n = km.size();
-  RowResolver r{km, cfg};
+  RowResolver& r = thread_resolver(km, cfg);
   // Every message's contribution is hashed once; each row then combines
   // the precomputed hashes of its interferers by addition.
   std::vector<ContextKey> element(n);
   for (std::size_t k = 0; k < n; ++k) element[k] = element_hash(r, k);
   const std::uint64_t errors_fp = cfg.errors->fingerprint();
-  std::vector<MultisetAcc> groups;
+  static thread_local std::vector<MultisetAcc> groups;
   std::vector<ContextKey> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = row_key(r, i, errors_fp, [&](std::size_t k) { return element[k]; }, groups);
