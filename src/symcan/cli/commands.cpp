@@ -121,7 +121,12 @@ void fail_on_unused(const Args& args) {
 int cmd_generate(const Args& args, std::ostream& out) {
   PowertrainConfig cfg = PowertrainConfig::case_study();
   cfg.seed = static_cast<std::uint64_t>(args.int_option_or("seed", 42));
-  cfg.message_count = static_cast<int>(args.positive_option_or("messages", cfg.message_count));
+  const std::int64_t messages = args.positive_option_or("messages", cfg.message_count);
+  if (messages > kMaxPowertrainMessages)
+    throw std::invalid_argument("option --messages must be <= " +
+                                std::to_string(kMaxPowertrainMessages) +
+                                " (one standard 11-bit id each from 0x100)");
+  cfg.message_count = static_cast<int>(messages);
   cfg.ecu_count = static_cast<int>(args.positive_option_or("ecus", cfg.ecu_count));
   cfg.target_utilization = args.double_option_or("util", cfg.target_utilization);
   cfg.bitrate_bps = args.positive_option_or("bitrate", cfg.bitrate_bps);

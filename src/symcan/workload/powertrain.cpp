@@ -47,6 +47,10 @@ int sample_payload(Rng& rng) {
 
 KMatrix generate_powertrain(const PowertrainConfig& cfg) {
   if (cfg.message_count < 1) throw std::invalid_argument("generate_powertrain: message_count < 1");
+  if (cfg.message_count > kMaxPowertrainMessages)
+    throw std::invalid_argument("generate_powertrain: message_count > " +
+                                std::to_string(kMaxPowertrainMessages) +
+                                " (standard ids from 0x100 to 0x7FF)");
   if (cfg.ecu_count < 1) throw std::invalid_argument("generate_powertrain: ecu_count < 1");
   if (cfg.gateway_count >= cfg.ecu_count)
     throw std::invalid_argument("generate_powertrain: gateways must be < ecus");
@@ -138,13 +142,15 @@ KMatrix generate_powertrain(const PowertrainConfig& cfg) {
   }
 
   // Materialize messages. IDs spread over 0x100.. with gaps, as real
-  // matrices leave room for extension.
+  // matrices leave room for extension; a matrix too large for the gaps
+  // (more than 224 messages) gets dense IDs from 0x100 instead.
+  const bool spaced = 0x100 + (order.size() - 1) * 8 + 5 <= max_standard_id;
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     const Row& r = rows[order[rank]];
     CanMessage m;
     m.name = "M" + std::to_string(order[rank]);
-    m.id = static_cast<CanId>(0x100 + rank * 8 +
-                              static_cast<std::size_t>(rng.uniform_int(0, 5)));
+    const auto gap = static_cast<std::size_t>(rng.uniform_int(0, 5));
+    m.id = static_cast<CanId>(spaced ? 0x100 + rank * 8 + gap : 0x100 + rank);
     m.format = FrameFormat::kStandard;
     m.payload_bytes = r.payload;
     const double period_us = static_cast<double>(r.period_ms) * 1000.0 * scale;

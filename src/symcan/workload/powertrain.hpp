@@ -28,9 +28,13 @@
 
 namespace symcan {
 
+/// Largest message_count generate_powertrain() accepts: one standard
+/// 11-bit id each from 0x100 up to 0x7FF.
+inline constexpr int kMaxPowertrainMessages = static_cast<int>(max_standard_id) - 0x100 + 1;
+
 struct PowertrainConfig {
   std::uint64_t seed = 42;
-  int message_count = 56;
+  int message_count = 56;  ///< 1 .. kMaxPowertrainMessages.
   int ecu_count = 6;       ///< Including gateways.
   int gateway_count = 1;   ///< Gateways forward body/chassis traffic in.
   std::int64_t bitrate_bps = 500'000;

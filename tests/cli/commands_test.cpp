@@ -331,6 +331,22 @@ TEST_F(CliTest, TileShardsSweepIdenticallyToDefault) {
   EXPECT_EQ(out_.str(), untiled);
 }
 
+TEST_F(CliTest, GenerateFillsTheStandardIdSpace) {
+  // Above 224 messages the spaced ids would overflow 11 bits; the matrix
+  // falls back to dense ids and still validates, up to one id each from
+  // 0x100 to 0x7FF.
+  const std::string out_path = temp_name("symcan_cli_gen_large.csv");
+  for (const char* n : {"300", "1792"}) {
+    EXPECT_EQ(run({"generate", "--messages", n, "--out", out_path}), 0) << err_.str();
+    const KMatrix km = load_kmatrix(out_path);
+    EXPECT_EQ(km.size(), static_cast<std::size_t>(std::stoi(n)));
+    EXPECT_NO_THROW(km.validate());
+  }
+  std::remove(out_path.c_str());
+  EXPECT_EQ(run({"generate", "--messages", "1793"}), 2);
+  EXPECT_NE(err_.str().find("--messages must be <= 1792"), std::string::npos) << err_.str();
+}
+
 TEST_F(CliTest, GenerateRejectsNonPositiveSizes) {
   EXPECT_EQ(run({"generate", "--messages", "0"}), 2);
   EXPECT_NE(err_.str().find("--messages"), std::string::npos);

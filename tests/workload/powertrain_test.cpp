@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace symcan {
@@ -91,6 +92,26 @@ TEST(Powertrain, RejectsBadConfig) {
   cfg = PowertrainConfig{};
   cfg.gateway_count = cfg.ecu_count;
   EXPECT_THROW(generate_powertrain(cfg), std::invalid_argument);
+  cfg = PowertrainConfig{};
+  cfg.message_count = kMaxPowertrainMessages + 1;
+  EXPECT_THROW(generate_powertrain(cfg), std::invalid_argument);
+}
+
+TEST(Powertrain, LargeMatricesFallBackToDenseIds) {
+  // 224 messages still fit ids spaced 8 apart from 0x100; beyond that the
+  // ids are dense from 0x100, up to the whole 11-bit space.
+  for (const int n : {224, 300, kMaxPowertrainMessages}) {
+    PowertrainConfig cfg;
+    cfg.message_count = n;
+    const KMatrix km = generate_powertrain(cfg);
+    EXPECT_EQ(km.size(), static_cast<std::size_t>(n));
+    CanId top = 0;
+    for (const auto& m : km.messages()) top = std::max(top, m.id);
+    EXPECT_LE(top, max_standard_id);
+    if (n > 224) {
+      EXPECT_EQ(top, static_cast<CanId>(0x100 + n - 1));
+    }
+  }
 }
 
 TEST(AssumeJitterFraction, SetsUnknownOnly) {
