@@ -328,8 +328,9 @@ std::vector<Task> seeded_tasks(std::uint64_t seed) {
 }
 
 TEST(ColumnarDifferential, EcuAnalyzeMatchesPerTaskAdapter) {
-  // EcuRta::analyze() runs the columnar task pack; analyze_task() stays
-  // legacy. Same bit-exactness contract as the bus side.
+  // EcuRta::analyze() runs the columnar task pack; analyze_task() solves
+  // one task at a time. The preemptive ECU analysis is outside the CAN
+  // core, so its two paths are still pinned to each other.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const EcuRta rta{seeded_tasks(seed), Duration::s(1)};
     const EcuResult whole = rta.analyze();

@@ -1,6 +1,6 @@
-// libFuzzer driver for the columnar layout differential: any CSV the
+// libFuzzer driver for the columnar reference differential: any CSV the
 // loader accepts must pack into a well-formed ColumnarBus whose solves
-// are bit-identical to the object-graph solver. Build with
+// equal the naive reference analysis bit for bit. Build with
 // -DSYMCAN_FUZZ=ON; seed from tests/fuzz/corpus/columnar (the csv corpus
 // works too).
 
