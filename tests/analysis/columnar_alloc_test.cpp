@@ -76,12 +76,17 @@ std::vector<Preset> presets() {
   return out;
 }
 
-/// The case study as generated, and with its senders offset-scheduled on
-/// a snapped period grid so the solves also walk built TtGroups.
-std::vector<KMatrix> case_studies() {
+/// The case study, plus a smaller bus whose senders are offset-scheduled
+/// on a snapped period grid so the solves also walk built TtGroups (the
+/// case study itself snapped this way takes seconds per pass, all of it
+/// in TtGroup::interference).
+std::vector<KMatrix> matrices() {
   std::vector<KMatrix> out;
   out.push_back(generate_powertrain(PowertrainConfig::case_study()));
-  KMatrix offsets = out.front();
+  PowertrainConfig wl;
+  wl.seed = 8;
+  wl.message_count = 24;
+  KMatrix offsets = generate_powertrain(wl);
   snap_periods(offsets, Duration::ms(5));
   assign_tt_offsets(offsets);
   out.push_back(std::move(offsets));
@@ -91,7 +96,7 @@ std::vector<KMatrix> case_studies() {
 TEST(ColumnarAlloc, WarmSolvesAllocateNothing) {
   const SporadicErrors errors{Duration::ms(10)};
   std::size_t groups = 0;
-  for (const KMatrix& km : case_studies()) {
+  for (const KMatrix& km : matrices()) {
     for (const Preset& p : presets()) {
       analysis::ColumnarBus bus;
       analysis::pack_bus(km, p.cfg, bus);
