@@ -183,6 +183,12 @@ auto member_order_key(const TtGroup::Member& m) {
                          m.cost.count_ns());
 }
 
+/// Reused per-row scratch of pack_row().
+struct PackScratch {
+  std::vector<std::vector<std::size_t>> members;  ///< Offset interferers per sender.
+  std::vector<TtGroup::Member> group;
+};
+
 void push_hp(ColumnarBus& out, const EventModel& em, Duration cost) {
   out.hp_period.push_back(em.period());
   out.hp_jitter.push_back(em.jitter());
@@ -193,12 +199,7 @@ void push_hp(ColumnarBus& out, const EventModel& em, Duration cost) {
 /// Append message i's row to `out`, scanning interferers in `order`.
 /// `labels`, when non-null, receives the name of every term.
 void pack_row(RowResolver& r, std::size_t i, const std::vector<std::size_t>* order,
-              ColumnarBus& out, ContextLabels* labels) {
-  // Reused per-row scratch: offset interferers per sender, one group.
-  static thread_local struct {
-    std::vector<std::vector<std::size_t>> members;
-    std::vector<TtGroup::Member> group;
-  } scratch;
+              ColumnarBus& out, PackScratch& scratch, ContextLabels* labels) {
   const auto& msgs = r.matrix().messages();
   const CanMessage& m = msgs[i];
   out.cost.push_back(r.cost(i));
@@ -486,10 +487,11 @@ ContextKey element_hash(const RowResolver& r, std::size_t k) {
 
 /// Key of message i: the resolved scalar inputs, the hp multiset and the
 /// multiset of per-sender offset-group multisets. `element(k)` yields
-/// element_hash(r, k), precomputed or not.
+/// element_hash(r, k), precomputed or not; `groups` is per-sender
+/// scratch.
 template <typename Element>
-ContextKey row_key(RowResolver& r, std::size_t i, std::uint64_t errors_fp, Element&& element) {
-  static thread_local std::vector<MultisetAcc> groups;
+ContextKey row_key(RowResolver& r, std::size_t i, std::uint64_t errors_fp, Element&& element,
+                   std::vector<MultisetAcc>& groups) {
   const CanRtaConfig& cfg = r.config();
   const CanMessage& m = r.matrix().messages()[i];
   const BitTiming& timing = r.matrix().timing();
@@ -586,7 +588,8 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out) {
   std::sort(by_quad.begin(), by_quad.end(),
             [&](std::size_t a, std::size_t b) { return quad(a) < quad(b); });
 
-  for (std::size_t i = 0; i < n; ++i) pack_row(r, i, &by_quad, out, nullptr);
+  static thread_local PackScratch scratch;
+  for (std::size_t i = 0; i < n; ++i) pack_row(r, i, &by_quad, out, scratch, nullptr);
   close_bus(out);
 }
 
@@ -636,7 +639,8 @@ MessageContext build_message_context(const KMatrix& km, const CanRtaConfig& cfg,
   // One row holds at most every other message: reserve once.
   for (auto* lane : {&ctx.row.hp_period, &ctx.row.hp_jitter, &ctx.row.hp_dmin, &ctx.row.hp_cost})
     lane->reserve(km.size());
-  pack_row(thread_resolver(km, cfg), index, nullptr, ctx.row, labels);
+  static thread_local PackScratch scratch;
+  pack_row(thread_resolver(km, cfg), index, nullptr, ctx.row, scratch, labels);
   close_bus(ctx.row);
   return ctx;
 }
@@ -652,8 +656,9 @@ MessageResult solve_message(const MessageContext& ctx) {
 ContextKey message_fingerprint(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index) {
   if (index >= km.size()) throw std::out_of_range("message_fingerprint: bad index");
   RowResolver& r = thread_resolver(km, cfg);
+  static thread_local std::vector<MultisetAcc> groups;
   return row_key(r, index, cfg.errors->fingerprint(),
-                 [&](std::size_t k) { return element_hash(r, k); });
+                 [&](std::size_t k) { return element_hash(r, k); }, groups);
 }
 
 std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg) {
@@ -664,9 +669,10 @@ std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& 
   std::vector<ContextKey> element(n);
   for (std::size_t k = 0; k < n; ++k) element[k] = element_hash(r, k);
   const std::uint64_t errors_fp = cfg.errors->fingerprint();
+  static thread_local std::vector<MultisetAcc> groups;
   std::vector<ContextKey> keys(n);
   for (std::size_t i = 0; i < n; ++i)
-    keys[i] = row_key(r, i, errors_fp, [&](std::size_t k) { return element[k]; });
+    keys[i] = row_key(r, i, errors_fp, [&](std::size_t k) { return element[k]; }, groups);
   return keys;
 }
 
