@@ -1,4 +1,4 @@
-// libFuzzer driver for the columnar reference differential: any CSV the
+// libFuzzer target for the columnar reference differential: any CSV the
 // loader accepts must pack into a well-formed ColumnarBus whose solves
 // equal the naive reference analysis bit for bit. Build with
 // -DSYMCAN_FUZZ=ON; seed from tests/fuzz/corpus/columnar (the csv corpus
