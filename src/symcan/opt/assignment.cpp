@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "symcan/analysis/rta_context.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
@@ -69,25 +71,26 @@ PriorityOrder deadline_monotonic_order(const KMatrix& km) {
 
 namespace {
 
-/// Schedulability of `cand` when it sits at the current lowest open rank:
-/// every still-unplaced message above it, the already-placed suffix below
-/// it, all jitters at `fraction` of their periods.
-bool feasible_at_rank(const KMatrix& km, const CanRtaConfig& rta, double fraction,
-                      const std::vector<bool>& placed, const PriorityOrder& order,
-                      std::size_t back, std::size_t cand) {
-  const std::size_t n = km.size();
-  KMatrix trial = km;
-  assume_jitter_fraction(trial, fraction, true);
+/// The one OPA probe: is `cand` schedulable at the lowest open rank
+/// `back`, with every still-unplaced message above it (in any relative
+/// order — the analysis depends only on the set) and the placed suffix
+/// order[back+1..] below it? Renumbers `trial`, a copy of the matrix
+/// under test, validates it once and solves only the candidate's row.
+bool fits_at_rank(KMatrix trial, const CanRtaConfig& rta, const std::vector<bool>& placed,
+                  const PriorityOrder& order, std::size_t back, std::size_t cand) {
+  const std::size_t n = trial.size();
   CanId next_high = 0x100;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (placed[i] || i == cand) continue;
-    trial.messages()[i].id = next_high++;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (!placed[i] && i != cand) trial.messages()[i].id = next_high++;
   trial.messages()[cand].id = next_high;
   CanId below = next_high + 1;
   for (std::size_t r = back + 1; r < n; ++r) trial.messages()[order[r]].id = below++;
   trial.validate();
-  return CanRta{trial, rta}.analyze_message(cand).schedulable;
+  return analysis::solve_message(analysis::build_message_context(trial, rta, cand)).schedulable;
+}
+
+void require_error_model(const CanRtaConfig& rta, const char* entry) {
+  if (!rta.errors) throw std::invalid_argument(std::string(entry) + ": error model must not be null");
 }
 
 }  // namespace
@@ -95,6 +98,7 @@ bool feasible_at_rank(const KMatrix& km, const CanRtaConfig& rta, double fractio
 std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanRtaConfig& rta,
                                                    double assumed_jitter_fraction,
                                                    double tolerance) {
+  require_error_model(rta, "robust_priority_order");
   const std::size_t n = km.size();
   PriorityOrder order(n);
   std::vector<bool> placed(n, false);
@@ -104,19 +108,20 @@ std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanR
     double best_tolerance = -1;
     for (std::size_t cand = 0; cand < n; ++cand) {
       if (placed[cand]) continue;
-      if (!feasible_at_rank(km, rta, assumed_jitter_fraction, placed, order, back, cand))
-        continue;
+      auto fits = [&](double fraction) {
+        KMatrix trial = km;
+        assume_jitter_fraction(trial, fraction, true);
+        return fits_at_rank(std::move(trial), rta, placed, order, back, cand);
+      };
+      if (!fits(assumed_jitter_fraction)) continue;
       // Largest uniform jitter fraction this candidate tolerates here.
       double lo = assumed_jitter_fraction, hi = 1.0;
-      if (feasible_at_rank(km, rta, hi, placed, order, back, cand)) {
+      if (fits(hi)) {
         lo = hi;
       } else {
         while (hi - lo > tolerance) {
           const double mid = (lo + hi) / 2;
-          if (feasible_at_rank(km, rta, mid, placed, order, back, cand))
-            lo = mid;
-          else
-            hi = mid;
+          (fits(mid) ? lo : hi) = mid;
         }
       }
       if (lo > best_tolerance) {
@@ -134,6 +139,7 @@ std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanR
 std::optional<PriorityOrder> audsley_order(const KMatrix& km, const CanRtaConfig& rta,
                                            std::optional<double> assumed_jitter_fraction,
                                            bool override_known) {
+  require_error_model(rta, "audsley_order");
   KMatrix work = km;
   if (assumed_jitter_fraction)
     assume_jitter_fraction(work, *assumed_jitter_fraction, override_known);
@@ -141,38 +147,13 @@ std::optional<PriorityOrder> audsley_order(const KMatrix& km, const CanRtaConfig
   const std::size_t n = work.size();
   PriorityOrder order(n);  // filled from the back (lowest rank first)
   std::vector<bool> placed(n, false);
-
-  // Trial IDs: unplaced messages sit above (higher priority than) the
-  // candidate; already-placed ones below. We renumber on every probe.
   for (std::size_t back = n; back-- > 0;) {
-    bool found = false;
-    for (std::size_t cand = 0; cand < n && !found; ++cand) {
-      if (placed[cand]) continue;
-      KMatrix trial = work;
-      CanId next_high = 0x100;
-      // Unplaced (excluding candidate): any relative order, all above.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (placed[i] || i == cand) continue;
-        trial.messages()[i].id = next_high;
-        next_high += 1;
-      }
-      trial.messages()[cand].id = next_high;
-      CanId below = next_high + 1;
-      // Placed ones keep their established relative order below.
-      for (std::size_t r = back + 1; r < n; ++r) {
-        trial.messages()[order[r]].id = below;
-        below += 1;
-      }
-      trial.validate();
-      std::size_t cand_pos = cand;
-      const MessageResult res = CanRta{trial, rta}.analyze_message(cand_pos);
-      if (res.schedulable) {
-        order[back] = cand;
-        placed[cand] = true;
-        found = true;
-      }
-    }
-    if (!found) return std::nullopt;
+    std::size_t cand = 0;
+    while (cand < n && (placed[cand] || !fits_at_rank(work, rta, placed, order, back, cand)))
+      ++cand;
+    if (cand == n) return std::nullopt;
+    order[back] = cand;
+    placed[cand] = true;
   }
   return order;
 }

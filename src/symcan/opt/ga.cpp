@@ -1,25 +1,19 @@
 #include "symcan/opt/ga.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
-#include "symcan/obs/obs.hpp"
-#include "symcan/opt/permutation_ops.hpp"
-#include "symcan/util/parallel.hpp"
-#include "symcan/util/rng.hpp"
+#include "symcan/opt/evolution.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
 
 namespace {
 
-bool dominates(const GaIndividual& a, const GaIndividual& b) {
-  const bool le = a.misses <= b.misses && a.robustness_cost <= b.robustness_cost;
-  const bool lt = a.misses < b.misses || a.robustness_cost < b.robustness_cost;
-  return le && lt;
-}
+using opt_detail::dominates;
+using opt_detail::same_objectives;
 
 double objective_distance(const GaIndividual& a, const GaIndividual& b) {
   const double d0 = a.misses - b.misses;
@@ -54,9 +48,24 @@ std::vector<double> spea2_fitness(const std::vector<GaIndividual>& pool) {
   return fitness;
 }
 
-bool lex_better(const GaIndividual& a, const GaIndividual& b) {
-  if (a.misses != b.misses) return a.misses < b.misses;
-  return a.robustness_cost < b.robustness_cost;
+/// SPEA2 environmental selection: the `size` fittest of `pool`, fittest
+/// first. The champion is re-injected if truncation lost its objective
+/// pair, so the archive never forgets the best individual evaluated
+/// (SPEA2 boundary preservation, simplified).
+std::vector<GaIndividual> spea2_archive(const std::vector<GaIndividual>& pool, std::size_t size,
+                                        const GaIndividual& champion) {
+  const std::vector<double> fitness = spea2_fitness(pool);
+  std::vector<std::size_t> idx(pool.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
+  std::vector<GaIndividual> archive;
+  for (std::size_t i = 0; i < idx.size() && archive.size() < size; ++i)
+    archive.push_back(pool[idx[i]]);
+  if (std::none_of(archive.begin(), archive.end(),
+                   [&](const GaIndividual& a) { return same_objectives(a, champion); }))
+    archive.back() = champion;
+  return archive;
 }
 
 }  // namespace
@@ -111,150 +120,23 @@ GaIndividual evaluate_order(const KMatrix& km, const PriorityOrder& order, const
 }
 
 GaResult optimize_priorities(const KMatrix& km, const GaConfig& cfg) {
-  if (cfg.population < 4) throw std::invalid_argument("optimize_priorities: population too small");
   if (cfg.archive < 2) throw std::invalid_argument("optimize_priorities: archive too small");
-  if (cfg.eval_fractions.empty())
-    throw std::invalid_argument("optimize_priorities: need at least one evaluation fraction");
-  if (cfg.tile < 0) throw std::invalid_argument("optimize_priorities: tile must be >= 0");
-
-  const std::size_t n = km.size();
-  GaResult result;
-  SYMCAN_OBS_SPAN("ga.optimize");
-
-  // All fitness evaluation — the expensive part, each one a full RTA per
-  // eval fraction — fans out over the pool; variation stays serial and
-  // cheap, with every individual drawing from its own (seed, generation,
-  // slot) stream so results never depend on evaluation order.
-  ParallelExecutor exec{cfg.parallelism};
-  // One memo shared by all workers across all generations: neighbouring
-  // candidates differ in a few swapped ranks, so most per-message
-  // contexts recur and only the edited span re-solves. Safe because a
-  // cache hit is bit-identical to a fresh solve. Validate the input once
-  // here instead of per evaluation — every variant is an ID permutation
-  // of this matrix, which preserves validity.
-  km.validate();
-  RtaCacheConfig cache_cfg = cfg.cache;
-  cache_cfg.validate_input = false;
-  IncrementalRta rta{cache_cfg};
-  double last_eval_ms = 0;
-  auto evaluate_all = [&](const std::vector<PriorityOrder>& orders) {
-    result.evaluations += static_cast<int>(orders.size());
-    const auto t0 = std::chrono::steady_clock::now();
-    auto evaluated = exec.parallel_map_tiled(
-        orders, static_cast<std::size_t>(cfg.tile),
-        [&](const PriorityOrder& o) { return evaluate_order(km, o, cfg, rta); });
-    last_eval_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-    if (obs::enabled()) {
-      auto& m = obs::metrics();
-      m.counter("ga.evaluations").add(static_cast<std::int64_t>(orders.size()));
-      m.histogram("ga.eval_batch_ms").observe(last_eval_ms);
-    }
-    return evaluated;
-  };
-
-  // Initial population (generation 0): seeds first, then random
-  // permutations, one stream per slot.
-  std::vector<PriorityOrder> init = cfg.seeds;
-  while (init.size() < static_cast<std::size_t>(cfg.population)) {
-    Rng slot_rng{stream_seed(cfg.seed, 0, init.size())};
-    init.push_back(opt_detail::random_order(n, slot_rng));
-  }
-  std::vector<GaIndividual> pop = evaluate_all(init);
-
-  // Elitism: the lexicographically best individual ever evaluated is
-  // re-injected into every archive so density truncation can never lose
-  // the champion (SPEA2 boundary preservation, simplified).
-  GaIndividual champion = pop.front();
-  auto update_champion = [&](const std::vector<GaIndividual>& xs) {
-    for (const auto& x : xs)
-      if (lex_better(x, champion)) champion = x;
-  };
-  update_champion(pop);
-
+  opt_detail::Evolution run{km, cfg,
+                            {"optimize_priorities", "ga.optimize", "ga.evaluations",
+                             "ga.eval_batch_ms", "ga.generations"}};
+  std::vector<GaIndividual> pop = run.seed_population();
   std::vector<GaIndividual> archive;
   for (int gen = 0; gen < cfg.generations; ++gen) {
-    // Environmental selection on population + archive.
-    std::vector<GaIndividual> pool = pop;
-    pool.insert(pool.end(), archive.begin(), archive.end());
-    const std::vector<double> fitness = spea2_fitness(pool);
-
-    std::vector<std::size_t> idx(pool.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
-    archive.clear();
-    for (std::size_t i = 0; i < idx.size() && archive.size() < static_cast<std::size_t>(cfg.archive);
-         ++i)
-      archive.push_back(pool[idx[i]]);
-
-    bool champion_in_archive = false;
-    for (const auto& a : archive)
-      champion_in_archive = champion_in_archive ||
-                            (a.misses == champion.misses &&
-                             a.robustness_cost == champion.robustness_cost);
-    if (!champion_in_archive) archive.back() = champion;
-
-    result.best_misses_history.push_back(champion.misses);
-
-    // Variation: binary tournament on archive fitness rank (archive is
-    // sorted by fitness already). One RNG stream per offspring slot.
-    std::vector<PriorityOrder> children(static_cast<std::size_t>(cfg.population));
-    for (std::size_t slot = 0; slot < children.size(); ++slot) {
-      Rng slot_rng{stream_seed(cfg.seed, static_cast<std::uint64_t>(gen) + 1, slot)};
-      auto tournament = [&]() -> const GaIndividual& {
-        const std::size_t a = slot_rng.index(archive.size());
-        const std::size_t b = slot_rng.index(archive.size());
-        return archive[std::min(a, b)];
-      };
-      PriorityOrder child;
-      if (slot_rng.chance(cfg.crossover_rate))
-        child = opt_detail::order_crossover(tournament().order, tournament().order, slot_rng);
-      else
-        child = tournament().order;
-      if (slot_rng.chance(cfg.mutation_rate)) opt_detail::swap_mutation(child, slot_rng);
-      children[slot] = std::move(child);
-    }
-    pop = evaluate_all(children);
-    update_champion(pop);
-
-    if (obs::enabled()) {
-      obs::count("ga.generations");
-      obs::metrics().series("ga.generations").append({
-          {"generation", static_cast<double>(gen)},
-          {"best_misses", champion.misses},
-          {"best_robustness_cost", champion.robustness_cost},
-          {"evaluations", static_cast<double>(result.evaluations)},
-          {"eval_ms", last_eval_ms},
-      });
-    }
+    // Environmental selection on population + archive; the archive comes
+    // out sorted by fitness, so a binary tournament picks the lower index.
+    pop.insert(pop.end(), archive.begin(), archive.end());
+    archive = spea2_archive(pop, static_cast<std::size_t>(cfg.archive), run.champion());
+    run.record_best();
+    pop = run.offspring(gen, archive, static_cast<std::size_t>(cfg.population),
+                        [](std::size_t a, std::size_t b) { return a < b; });
   }
-
-  // Final archive update and champion extraction.
-  std::vector<GaIndividual> pool = pop;
-  pool.insert(pool.end(), archive.begin(), archive.end());
-  std::vector<GaIndividual> pareto;
-  for (const auto& c : pool) {
-    bool dominated = false;
-    for (const auto& d : pool)
-      if (dominates(d, c)) {
-        dominated = true;
-        break;
-      }
-    if (!dominated) pareto.push_back(c);
-  }
-  // Dedup identical objective pairs to keep the front readable.
-  std::sort(pareto.begin(), pareto.end(), lex_better);
-  pareto.erase(std::unique(pareto.begin(), pareto.end(),
-                           [](const GaIndividual& a, const GaIndividual& b) {
-                             return a.misses == b.misses &&
-                                    a.robustness_cost == b.robustness_cost;
-                           }),
-               pareto.end());
-
-  result.pareto = pareto;
-  result.best = pareto.front();
-  return result;
+  pop.insert(pop.end(), archive.begin(), archive.end());
+  return run.finish(pop);
 }
 
 }  // namespace symcan
