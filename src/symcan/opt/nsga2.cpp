@@ -49,7 +49,8 @@ void crowding(const std::vector<GaIndividual>& pool, const std::vector<std::size
   by_objective([](const GaIndividual& x) { return x.robustness_cost; });
 }
 
-/// Fast non-dominated sort, peeling one front per level.
+/// Fast non-dominated sort, peeling one front per level; crowding is
+/// measured within each front, as Deb et al. define it.
 FrontRanking rank_fronts(const std::vector<GaIndividual>& pool) {
   const std::size_t n = pool.size();
   FrontRanking rank{std::vector<int>(n, -1), std::vector<double>(n, 0.0)};
@@ -66,10 +67,8 @@ FrontRanking rank_fronts(const std::vector<GaIndividual>& pool) {
     }
     if (domination_count[i] == 0) current.push_back(i);
   }
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  crowding(pool, all, rank.crowd);
   for (int level = 0; !current.empty(); ++level) {
+    crowding(pool, current, rank.crowd);
     std::vector<std::size_t> next;
     for (const std::size_t i : current) {
       rank.front[i] = level;
@@ -81,8 +80,12 @@ FrontRanking rank_fronts(const std::vector<GaIndividual>& pool) {
   return rank;
 }
 
+}  // namespace
+
+namespace opt_detail {
+
 /// Environmental selection: fill by fronts, crowding-truncate the last.
-std::vector<GaIndividual> survivors(const std::vector<GaIndividual>& pool, std::size_t mu) {
+std::vector<GaIndividual> nsga2_survivors(const std::vector<GaIndividual>& pool, std::size_t mu) {
   const FrontRanking rank = rank_fronts(pool);
   std::vector<std::size_t> order(pool.size());
   std::iota(order.begin(), order.end(), 0);
@@ -94,7 +97,7 @@ std::vector<GaIndividual> survivors(const std::vector<GaIndividual>& pool, std::
   return next;
 }
 
-}  // namespace
+}  // namespace opt_detail
 
 GaResult optimize_priorities_nsga2(const KMatrix& km, const GaConfig& cfg) {
   opt_detail::Evolution run{km, cfg,
@@ -109,7 +112,7 @@ GaResult optimize_priorities_nsga2(const KMatrix& km, const GaConfig& cfg) {
     for (auto& c : run.offspring(gen, parents, count,
                                  [&](std::size_t a, std::size_t b) { return rank.better(a, b); }))
       pool.push_back(std::move(c));
-    parents = survivors(pool, mu);
+    parents = opt_detail::nsga2_survivors(pool, mu);
     run.record_best();
   }
   // Final front, champion guaranteed present.

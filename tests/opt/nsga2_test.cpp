@@ -107,5 +107,23 @@ TEST(Nsga2, ComparableToSpea2OnTheSameBudget) {
   EXPECT_NEAR(spea2.best.misses, nsga2.best.misses, 1.0);
 }
 
+TEST(Nsga2Selection, CrowdingIsMeasuredWithinEachFront) {
+  // Fronts: {(0,0)}, {(1,4), (5,2), (8,1)}, {(9,3)}; two of the middle
+  // front survive. Within that front (1,4) and (8,1) are the boundary
+  // points (infinite crowding distance) and (5,2) is interior, so Deb's
+  // per-front crowding keeps the boundary. Crowding measured over the
+  // whole pool would find (8,1) hemmed in by (9,3) of the next front and
+  // keep (5,2) instead.
+  auto ind = [](double misses, double cost) { return GaIndividual{{}, misses, cost}; };
+  const std::vector<GaIndividual> pool = {ind(0, 0), ind(1, 4), ind(9, 3), ind(8, 1), ind(5, 2)};
+  const std::vector<GaIndividual> kept = opt_detail::nsga2_survivors(pool, 3);
+  ASSERT_EQ(kept.size(), 3u);
+  const std::pair<double, double> want[] = {{0, 0}, {1, 4}, {8, 1}};
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].misses, want[i].first) << "#" << i;
+    EXPECT_EQ(kept[i].robustness_cost, want[i].second) << "#" << i;
+  }
+}
+
 }  // namespace
 }  // namespace symcan
