@@ -1,6 +1,7 @@
 #include "symcan/opt/assignment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -99,6 +100,9 @@ std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanR
                                                    double assumed_jitter_fraction,
                                                    double tolerance) {
   require_error_model(rta, "robust_priority_order");
+  // The bisection below stops only once hi - lo <= tolerance.
+  if (!(tolerance > 0) || !std::isfinite(tolerance))
+    throw std::invalid_argument("robust_priority_order: tolerance must be positive and finite");
   const std::size_t n = km.size();
   PriorityOrder order(n);
   std::vector<bool> placed(n, false);
