@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
+#include "reference_rta.hpp"
 #include "symcan/analysis/presets.hpp"
 #include "symcan/workload/powertrain.hpp"
 
@@ -12,6 +14,19 @@ namespace symcan {
 namespace {
 
 KMatrix case_matrix() { return generate_powertrain(PowertrainConfig::case_study()); }
+
+/// Independent oracle for the assignment probes (which run the production
+/// busy-period kernel): every message of `km` under `order`, all jitters
+/// at `fraction` of their periods, is schedulable under the naive
+/// reference analysis.
+void expect_reference_schedulable(const KMatrix& km, const PriorityOrder& order, double fraction,
+                                  const CanRtaConfig& rta) {
+  KMatrix assigned = apply_priority_order(km, order);
+  assume_jitter_fraction(assigned, fraction, true);
+  for (std::size_t i = 0; i < assigned.size(); ++i)
+    EXPECT_TRUE(reference::analyze_message(assigned, rta, i).schedulable)
+        << assigned.messages()[i].name;
+}
 
 TEST(ApplyPriorityOrder, RewritesIdsInRankOrder) {
   const KMatrix km = case_matrix();
@@ -68,6 +83,7 @@ TEST(Audsley, FindsFeasibleAssignmentOnCaseStudyAt25) {
   assume_jitter_fraction(opt, 0.25, true);
   const BusResult res = CanRta{opt, worst_case_assumptions()}.analyze();
   EXPECT_TRUE(res.all_schedulable());
+  expect_reference_schedulable(km, *order, 0.25, worst_case_assumptions());
 }
 
 TEST(Audsley, ResultIsPermutation) {
@@ -111,6 +127,7 @@ TEST(RobustAssignment, FeasibleAndPermutation) {
   KMatrix opt = apply_priority_order(km, *order);
   assume_jitter_fraction(opt, 0.0, true);
   EXPECT_TRUE((CanRta{opt, worst_case_assumptions()}.analyze().all_schedulable()));
+  expect_reference_schedulable(km, *order, 0.0, worst_case_assumptions());
 }
 
 TEST(RobustAssignment, ToleratesAtLeastAsMuchJitterAsAudsley) {
@@ -149,6 +166,16 @@ TEST(RobustAssignment, InfeasibleBaseReturnsNullopt) {
   CanRtaConfig rta = worst_case_assumptions();
   rta.horizon = Duration::ms(500);
   EXPECT_FALSE(robust_priority_order(km, rta, 0.0).has_value());
+}
+
+TEST(RobustAssignment, RejectsToleranceThatCannotEndTheBisection) {
+  // A bisection that runs while hi - lo > tolerance never ends for
+  // tolerance <= 0 once hi and lo meet; the call must refuse up front.
+  const KMatrix km = case_matrix();
+  const CanRtaConfig rta = worst_case_assumptions();
+  for (const double tol : {0.0, -0.02, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(robust_priority_order(km, rta, 0.0, tol), std::invalid_argument) << tol;
 }
 
 }  // namespace
