@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "symcan/analysis/rta_context.hpp"
 #include "symcan/workload/powertrain.hpp"
@@ -90,16 +89,13 @@ bool fits_at_rank(KMatrix trial, const CanRtaConfig& rta, const std::vector<bool
   return analysis::solve_message(analysis::build_message_context(trial, rta, cand)).schedulable;
 }
 
-void require_error_model(const CanRtaConfig& rta, const char* entry) {
-  if (!rta.errors) throw std::invalid_argument(std::string(entry) + ": error model must not be null");
-}
-
 }  // namespace
 
 std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanRtaConfig& rta,
                                                    double assumed_jitter_fraction,
                                                    double tolerance) {
-  require_error_model(rta, "robust_priority_order");
+  if (!rta.errors)
+    throw std::invalid_argument("robust_priority_order: error model must not be null");
   // The bisection below stops only once hi - lo <= tolerance.
   if (!(tolerance > 0) || !std::isfinite(tolerance))
     throw std::invalid_argument("robust_priority_order: tolerance must be positive and finite");
@@ -143,7 +139,7 @@ std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanR
 std::optional<PriorityOrder> audsley_order(const KMatrix& km, const CanRtaConfig& rta,
                                            std::optional<double> assumed_jitter_fraction,
                                            bool override_known) {
-  require_error_model(rta, "audsley_order");
+  if (!rta.errors) throw std::invalid_argument("audsley_order: error model must not be null");
   KMatrix work = km;
   if (assumed_jitter_fraction)
     assume_jitter_fraction(work, *assumed_jitter_fraction, override_known);

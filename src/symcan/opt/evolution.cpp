@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -71,6 +72,16 @@ bool dominates(const GaIndividual& a, const GaIndividual& b) {
 
 bool same_objectives(const GaIndividual& a, const GaIndividual& b) {
   return a.misses == b.misses && a.robustness_cost == b.robustness_cost;
+}
+
+std::vector<GaIndividual> stable_best(const std::vector<GaIndividual>& pool, std::size_t size,
+                                      const std::function<bool(std::size_t, std::size_t)>& less) {
+  std::vector<std::size_t> idx(pool.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::stable_sort(idx.begin(), idx.end(), less);
+  std::vector<GaIndividual> best;
+  for (std::size_t i = 0; i < size && i < idx.size(); ++i) best.push_back(pool[idx[i]]);
+  return best;
 }
 
 Evolution::Evolution(const KMatrix& km, const GaConfig& cfg, const LoopNames& names)
@@ -161,7 +172,8 @@ std::vector<GaIndividual> Evolution::offspring(
 GaResult Evolution::finish(const std::vector<GaIndividual>& pool) {
   std::vector<GaIndividual> pareto;
   for (const auto& c : pool)
-    if (std::none_of(pool.begin(), pool.end(), [&](const GaIndividual& d) { return dominates(d, c); }))
+    if (std::none_of(pool.begin(), pool.end(),
+                     [&](const GaIndividual& d) { return dominates(d, c); }))
       pareto.push_back(c);
   // Dedup identical objective pairs to keep the front readable.
   std::sort(pareto.begin(), pareto.end(), lex_better);

@@ -31,8 +31,13 @@ bool dominates(const GaIndividual& a, const GaIndividual& b);
 /// Equal (misses, robustness_cost) pairs.
 bool same_objectives(const GaIndividual& a, const GaIndividual& b);
 
+/// Truncation selection: the first `size` members of `pool` after a
+/// stable sort of its indices by `less`.
+std::vector<GaIndividual> stable_best(const std::vector<GaIndividual>& pool, std::size_t size,
+                                      const std::function<bool(std::size_t, std::size_t)>& less);
+
 /// The names one optimizer reports under: its entry point (in config
-/// errors) and its span, counter, histogram and series.
+/// errors) and its span, counter, histogram and series. String literals.
 struct LoopNames {
   const char* entry;
   const char* span;
@@ -75,7 +80,7 @@ class Evolution {
 
   const KMatrix& km_;
   const GaConfig& cfg_;
-  const LoopNames& names_;
+  LoopNames names_;
   obs::SpanGuard span_;
   ParallelExecutor exec_;
   IncrementalRta rta_;
@@ -83,5 +88,10 @@ class Evolution {
   GaIndividual champion_;
   double last_eval_ms_ = 0;
 };
+
+/// NSGA-II's environmental selection (nsga2.cpp), declared here for its
+/// selection test: the `mu` best of `pool` by front, then by crowding
+/// distance within the front.
+std::vector<GaIndividual> nsga2_survivors(const std::vector<GaIndividual>& pool, std::size_t mu);
 
 }  // namespace symcan::opt_detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "symcan/opt/evolution.hpp"
@@ -55,13 +54,8 @@ std::vector<double> spea2_fitness(const std::vector<GaIndividual>& pool) {
 std::vector<GaIndividual> spea2_archive(const std::vector<GaIndividual>& pool, std::size_t size,
                                         const GaIndividual& champion) {
   const std::vector<double> fitness = spea2_fitness(pool);
-  std::vector<std::size_t> idx(pool.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
-  std::vector<GaIndividual> archive;
-  for (std::size_t i = 0; i < idx.size() && archive.size() < size; ++i)
-    archive.push_back(pool[idx[i]]);
+  std::vector<GaIndividual> archive = opt_detail::stable_best(
+      pool, size, [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
   if (std::none_of(archive.begin(), archive.end(),
                    [&](const GaIndividual& a) { return same_objectives(a, champion); }))
     archive.back() = champion;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "symcan/opt/evolution.hpp"
 
@@ -84,17 +83,9 @@ FrontRanking rank_fronts(const std::vector<GaIndividual>& pool) {
 
 namespace opt_detail {
 
-/// Environmental selection: fill by fronts, crowding-truncate the last.
 std::vector<GaIndividual> nsga2_survivors(const std::vector<GaIndividual>& pool, std::size_t mu) {
   const FrontRanking rank = rank_fronts(pool);
-  std::vector<std::size_t> order(pool.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return rank.better(a, b); });
-  std::vector<GaIndividual> next;
-  next.reserve(mu);
-  for (std::size_t i = 0; i < mu && i < order.size(); ++i) next.push_back(pool[order[i]]);
-  return next;
+  return stable_best(pool, mu, [&](std::size_t a, std::size_t b) { return rank.better(a, b); });
 }
 
 }  // namespace opt_detail

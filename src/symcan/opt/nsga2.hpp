@@ -16,13 +16,4 @@ namespace symcan {
 /// ignored — NSGA-II keeps the full parent population).
 GaResult optimize_priorities_nsga2(const KMatrix& km, const GaConfig& cfg);
 
-namespace opt_detail {
-
-/// NSGA-II environmental selection: the `mu` best of `pool` by front,
-/// then by crowding distance within the front (the last front admitted
-/// is crowding-truncated). Exposed for selection tests.
-std::vector<GaIndividual> nsga2_survivors(const std::vector<GaIndividual>& pool, std::size_t mu);
-
-}  // namespace opt_detail
-
 }  // namespace symcan

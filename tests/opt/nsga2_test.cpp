@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "symcan/analysis/presets.hpp"
+#include "symcan/opt/evolution.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
