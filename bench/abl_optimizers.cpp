@@ -1,6 +1,7 @@
 // Ablation — priority-assignment strategies (Section 4.3): the original
 // (historically grown) ID assignment vs Deadline-Monotonic, Audsley's
-// optimal assignment, and the SPEA2-style genetic optimizer, across the
+// optimal assignment, robust priority assignment, the SPEA2-style genetic
+// optimizer (with and without the RTA cache) and NSGA-II, across the
 // jitter sweep under worst-case assumptions.
 
 #include <chrono>
